@@ -10,7 +10,6 @@
 // The Chrome trace lands in traced_call.trace.json — open it in
 // chrome://tracing or summarize it with ./build/tools/ninf_trace_dump.
 #include <cstdio>
-#include <thread>
 
 #include "client/client.h"
 #include "client/ninf_api.h"
@@ -30,15 +29,13 @@ int main(int argc, char** argv) {
   if (out.empty()) out = "traced_call.trace.json";
   obs::TraceSession trace(out);
 
-  // In-process pair: the server serves one end on a helper thread, the
-  // client speaks the full wire protocol into the other.
+  // In-process pair: the server's reactor serves one end, the client
+  // speaks the full wire protocol into the other.
   server::Registry registry;
   server::registerStandardExecutables(registry);
   server::NinfServer srv(registry, {.workers = 1});
   auto [client_end, server_end] = transport::inprocPair();
-  std::thread server_thread([&srv, s = std::move(server_end)]() mutable {
-    srv.serveStream(*s);
-  });
+  srv.adopt(std::move(server_end));
 
   {
     client::NinfClient cl(std::move(client_end));
@@ -54,7 +51,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(result.bytes_received));
     cl.close();
   }
-  server_thread.join();
   srv.stop();
 
   // Summarize before the session flushes: this is one Table-3 row seen

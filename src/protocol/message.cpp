@@ -100,13 +100,18 @@ class BufferSink : public xdr::Sink {
   common::PooledBuffer& out_;
 };
 
-}  // namespace
-
+/// Record a materialized wire-buffer size in the
+/// "wire.peak_buffer_bytes" gauge (monotonic max since last metrics
+/// reset).  The streaming pipeline's peak stays near the scratch size
+/// regardless of payload; the legacy contiguous path reports the full
+/// message.
 void noteWireBuffer(std::size_t bytes) {
   static obs::Gauge& peak = obs::gauge("wire.peak_buffer_bytes");
   const double v = static_cast<double>(bytes);
   if (v > peak.value()) peak.set(v);
 }
+
+}  // namespace
 
 void sendMessage(transport::Stream& stream, MessageType type,
                  std::span<const std::uint8_t> payload) {

@@ -316,13 +316,6 @@ common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
                                       const WireTraceContext& ctx,
                                       std::span<const std::uint8_t> payload);
 
-/// Record a materialized wire-buffer size in the
-/// "wire.peak_buffer_bytes" gauge (monotonic max since last metrics
-/// reset).  The streaming pipeline's peak stays near the scratch size
-/// regardless of payload; the legacy contiguous path reports the full
-/// message.
-void noteWireBuffer(std::size_t bytes);
-
 /// Server-side status snapshot carried by StatusReply (metaserver food).
 struct ServerStatusInfo {
   std::uint32_t running = 0;    // executables currently executing

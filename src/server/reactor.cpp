@@ -14,11 +14,9 @@
 #include "server/server.h"
 #include "xdr/xdr.h"
 
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
-#endif
 
 namespace ninf::server {
 
@@ -36,17 +34,8 @@ double monotonicSeconds() {
 
 }  // namespace
 
-#ifdef __linux__
-
-bool Reactor::supported() { return true; }
-
-Reactor::Reactor(NinfServer& server,
-                 std::shared_ptr<transport::Listener> listener,
-                 Options options)
-    : server_(server), listener_(std::move(listener)), options_(options) {
-  NINF_REQUIRE(listener_ != nullptr, "reactor needs a listener");
-  NINF_REQUIRE(listener_->nativeHandle() >= 0,
-               "reactor needs a pollable listener");
+Reactor::Reactor(NinfServer& server, Options options)
+    : server_(server), options_(options) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw TransportError("epoll_create1 failed");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -58,12 +47,6 @@ Reactor::Reactor(NinfServer& server,
   ev.events = EPOLLIN;
   ev.data.u64 = 1;  // wakeup
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  ev.events = EPOLLIN;
-  ev.data.u64 = 0;  // listener
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_->nativeHandle(), &ev) ==
-      0) {
-    accept_registered_ = true;
-  }
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -94,6 +77,57 @@ void Reactor::stop() {
   ::close(wake_fd_);
   ::close(epoll_fd_);
   wake_fd_ = epoll_fd_ = -1;
+}
+
+void Reactor::start(std::shared_ptr<transport::Listener> listener) {
+  NINF_REQUIRE(listener != nullptr, "null listener");
+  if (listener->nativeHandle() < 0) {
+    throw TransportError("reactor needs a listener with a native handle");
+  }
+  postSolo([this, listener] { listen(listener); });
+}
+
+void Reactor::adopt(std::unique_ptr<transport::Stream> stream) {
+  NINF_REQUIRE(stream != nullptr, "null stream");
+  if (stream->nativeHandle() < 0 || !stream->setNonBlocking(true)) {
+    throw TransportError("reactor needs a stream with a non-blocking "
+                         "native handle (" + stream->peerName() + ")");
+  }
+  // postSolo takes a copyable std::function; the stream rides across in
+  // a shared_ptr, which also frees it if the task is dropped by stop().
+  auto holder = std::make_shared<std::unique_ptr<transport::Stream>>(
+      std::move(stream));
+  postSolo([this, holder] { addConn(std::move(*holder)); });
+}
+
+void Reactor::listen(std::shared_ptr<transport::Listener> listener) {
+  listener_ = std::move(listener);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = 0;  // listener
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_->nativeHandle(), &ev) ==
+      0) {
+    accept_registered_ = true;
+  }
+}
+
+void Reactor::addConn(std::unique_ptr<transport::Stream> stream) {
+  const std::uint64_t id = next_conn_id_++;
+  Conn conn;
+  conn.id = id;
+  conn.fd = stream->nativeHandle();
+  conn.assembler = protocol::FrameAssembler(stream->peerName());
+  conn.stream = std::move(stream);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.fd, &ev) != 0) {
+    NINF_LOG(Warn) << "reactor: epoll_ctl ADD failed: "
+                   << std::strerror(errno);
+    return;
+  }
+  conns_.emplace(id, std::move(conn));
+  updateFdGauge();
 }
 
 void Reactor::postSolo(std::function<void()> fn) {
@@ -193,30 +227,14 @@ void Reactor::handleAccept() {
       return;
     }
     switch (status) {
-      case transport::AcceptStatus::Accepted: {
+      case transport::AcceptStatus::Accepted:
         if (!stream->setNonBlocking(true) || stream->nativeHandle() < 0) {
           NINF_LOG(Warn) << "reactor: dropping connection without a "
                             "non-blocking native handle";
           break;
         }
-        const std::uint64_t id = next_conn_id_++;
-        Conn conn;
-        conn.id = id;
-        conn.fd = stream->nativeHandle();
-        conn.assembler = protocol::FrameAssembler(stream->peerName());
-        conn.stream = std::move(stream);
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u64 = id;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.fd, &ev) != 0) {
-          NINF_LOG(Warn) << "reactor: epoll_ctl ADD failed: "
-                         << std::strerror(errno);
-          break;
-        }
-        conns_.emplace(id, std::move(conn));
-        updateFdGauge();
+        addConn(std::move(stream));
         break;
-      }
       case transport::AcceptStatus::WouldBlock:
         return;
       case transport::AcceptStatus::Closed:
@@ -249,6 +267,13 @@ void Reactor::handleConnEvent(Conn& conn, std::uint32_t events) {
   }
   if (!conn.dead && (events & EPOLLOUT)) {
     flushConn(conn);
+  }
+  // Hang-up with the read side already done: nothing can be sent either
+  // (the peer is gone, or a fault wrapper shut the socket), and epoll
+  // keeps reporting EPOLLHUP whatever the interest mask — kill the
+  // connection rather than spin on it until its staged calls finish.
+  if (!conn.dead && (events & EPOLLHUP) && !conn.read_open) {
+    killConn(conn);
   }
 }
 
@@ -295,6 +320,11 @@ void Reactor::processFrames(Conn& conn) {
 }
 
 void Reactor::dispatchFrame(Conn& conn, Frame frame) {
+  // Every frame arrives whole in one slab: its own high-water mark, kept
+  // apart from the streamed codec's wire.peak_buffer_bytes.
+  static obs::Gauge& peak_frame = obs::gauge("server.reactor.peak_frame_bytes");
+  const double frame_bytes = static_cast<double>(frame.body.size());
+  if (frame_bytes > peak_frame.value()) peak_frame.set(frame_bytes);
   try {
     switch (frame.header.type) {
       case MessageType::Hello:
@@ -302,7 +332,6 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
         return;
       case MessageType::CallRequest:
       case MessageType::SubmitRequest: {
-        protocol::noteWireBuffer(frame.body.size());
         ++conn.staged_inflight;
         ++staged_total_;
         if (conn.mode == WireMode::V1) conn.v1_busy = true;
@@ -319,7 +348,6 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
         msg.type = frame.header.type;
         msg.payload.assign(frame.body.data(),
                            frame.body.data() + frame.body.size());
-        protocol::noteWireBuffer(msg.payload.size());
         NinfServer::ReplyEnvelope env = server_.controlReply(msg);
         queueReply(conn.id,
                    protocol::flattenFramePooled(conn.mode, env.type,
@@ -568,24 +596,5 @@ void Reactor::destroyConn(std::uint64_t conn_id) {
 void Reactor::updateFdGauge() const {
   obs::gauge("server.reactor.fds").set(static_cast<double>(conns_.size()));
 }
-
-#else  // !__linux__
-
-bool Reactor::supported() { return false; }
-
-Reactor::Reactor(NinfServer& server,
-                 std::shared_ptr<transport::Listener> listener, Options options)
-    : server_(server), listener_(std::move(listener)), options_(options) {
-  throw TransportError("epoll reactor is not supported on this platform");
-}
-
-Reactor::~Reactor() = default;
-void Reactor::stop() {}
-void Reactor::postSolo(std::function<void()>) {}
-void Reactor::queueReply(std::uint64_t, common::PooledBuffer) {}
-void Reactor::finishStagedCall(std::uint64_t, common::PooledBuffer) {}
-bool Reactor::connAlive(std::uint64_t) const { return false; }
-
-#endif  // __linux__
 
 }  // namespace ninf::server

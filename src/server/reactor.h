@@ -21,6 +21,13 @@
 // thread, no writer thread — and server thread count is O(workers),
 // not O(connections).
 //
+// Connections arrive two ways: accepted from the listener registered
+// with start(), or handed over already established through adopt() (an
+// in-process socketpair end, a fault-injecting wrapper).  Both end in
+// the same registration; from then on the reactor owns the stream,
+// closes it and frees it.  A listener or stream without a pollable
+// native handle is rejected with a TransportError.
+//
 // Backpressure: when the number of staged calls in flight reaches the
 // admission budget, the reactor stops reading from connections (their
 // EPOLLIN interest is dropped) until completions drain — the kernel
@@ -31,9 +38,7 @@
 // marks the connection busy and no further frames are parsed until its
 // reply is queued, preserving lock-step reply order.
 //
-// Only available on Linux (epoll); Reactor::supported() reports this
-// and NinfServer::start() falls back to thread-per-connection when the
-// reactor is unavailable or the listener has no pollable handle.
+// Linux only (epoll, eventfd).
 #pragma once
 
 #include <cstdint>
@@ -61,22 +66,29 @@ class Reactor {
     /// the reactor stops reading from connections.
     std::size_t max_inflight = 256;
     /// Pause on fd exhaustion before accepting again; shared with the
-    /// threaded accept loop so both paths shed load at the same rate.
+    /// blocking TcpListener::accept() so both shed load at the same rate.
     double accept_backoff_seconds = transport::kAcceptBackoffSeconds;
   };
 
-  /// True when this platform has epoll (Linux).
-  static bool supported();
-
-  /// Spawns the reactor thread.  `listener` must expose a native
-  /// handle.  The reactor serves connections by calling back into
-  /// `server` (frame dispatch, staged pipeline) on the reactor thread.
-  Reactor(NinfServer& server, std::shared_ptr<transport::Listener> listener,
-          Options options);
+  /// Spawns the reactor thread with no connections.  The reactor serves
+  /// connections by calling back into `server` (frame dispatch, staged
+  /// pipeline) on the reactor thread.
+  Reactor(NinfServer& server, Options options);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
+
+  /// Accept connections from `listener`.  At most one listener per
+  /// reactor, which NinfServer::start() enforces.  Throws TransportError
+  /// when the listener has no native handle.  Thread-safe.
+  void start(std::shared_ptr<transport::Listener> listener);
+
+  /// Serve an established stream: switches it to non-blocking mode and
+  /// takes ownership.  Throws TransportError when it has no native
+  /// handle or cannot go non-blocking.  Thread-safe; after stop() the
+  /// stream is closed unserved.
+  void adopt(std::unique_ptr<transport::Stream> stream);
 
   /// Close every connection, unblock and join the loop thread; further
   /// postSolo() calls are dropped.  Idempotent.
@@ -145,6 +157,11 @@ class Reactor {
   // graph from (lambdas posted through postSolo are picked up
   // automatically).
   void loop() NINF_REACTOR_CONTEXT;
+  /// Registration, reached through postSolo from start()/adopt().
+  void listen(std::shared_ptr<transport::Listener> listener)
+      NINF_REACTOR_CONTEXT;
+  void addConn(std::unique_ptr<transport::Stream> stream)
+      NINF_REACTOR_CONTEXT;
   void handleAccept() NINF_REACTOR_CONTEXT;
   void handleConnEvent(Conn& conn, std::uint32_t events)
       NINF_REACTOR_CONTEXT;
@@ -169,8 +186,8 @@ class Reactor {
   void updateFdGauge() const;
 
   NinfServer& server_;
-  std::shared_ptr<transport::Listener> listener_;
   const Options options_;
+  std::shared_ptr<transport::Listener> listener_;  // null until listen()
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

@@ -47,7 +47,7 @@ bool FaultPlan::onConnect() {
   return refuse;
 }
 
-FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes) {
+FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes, bool may_delay) {
   OpFault f;
   {
     LockGuard lock(mutex_);
@@ -60,7 +60,7 @@ FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes) {
                rng_.nextBool(spec_.truncate)) {
       f.truncate_at = static_cast<std::size_t>(rng_.nextBelow(bytes));
     }
-    if (spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
+    if (may_delay && spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
       f.delay_ms =
           spec_.delay_min_ms +
           (spec_.delay_max_ms - spec_.delay_min_ms) * rng_.nextDouble();
@@ -86,7 +86,7 @@ FaultPlan::OpFault FaultPlan::onSend(std::size_t bytes) {
   return f;
 }
 
-FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes) {
+FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes, bool may_delay) {
   OpFault f;
   {
     LockGuard lock(mutex_);
@@ -98,7 +98,7 @@ FaultPlan::OpFault FaultPlan::onRecv(std::size_t bytes) {
                         rng_.nextBelow(std::max<std::size_t>(
                             1, spec_.stutter_bytes)));
     }
-    if (spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
+    if (may_delay && spec_.delay > 0 && rng_.nextBool(spec_.delay)) {
       f.delay_ms =
           spec_.delay_min_ms +
           (spec_.delay_max_ms - spec_.delay_min_ms) * rng_.nextDouble();
@@ -204,6 +204,49 @@ class FaultyStream : public Stream {
     return inner_->recvSome(buffer);
   }
 
+  int nativeHandle() const override { return inner_->nativeHandle(); }
+  bool setNonBlocking(bool on) override { return inner_->setNonBlocking(on); }
+
+  // The non-blocking pair applies the same faults as the blocking calls,
+  // minus the stalls: a reactor thread must never sleep.
+
+  std::size_t recvNowait(std::span<std::uint8_t> buffer) override
+      NINF_REACTOR_CONTEXT {
+    if (plan_->enabled() && !buffer.empty()) {
+      const FaultPlan::OpFault f =
+          plan_->onRecv(buffer.size(), /*may_delay=*/false);
+      if (f.reset) abortConnection("connection reset before recv");
+      if (f.chunk > 0) buffer = buffer.first(std::min(f.chunk, buffer.size()));
+    }
+    return inner_->recvNowait(buffer);
+  }
+
+  std::size_t sendvNowait(
+      std::span<const std::span<const std::uint8_t>> buffers) override
+      NINF_REACTOR_CONTEXT {
+    if (plan_->enabled()) {
+      std::size_t total = 0;
+      for (const auto& b : buffers) total += b.size();
+      const FaultPlan::OpFault f = plan_->onSend(total, /*may_delay=*/false);
+      if (f.reset) abortConnection("connection reset before send");
+      if (f.truncate_at != FaultPlan::kNoTruncate && f.truncate_at < total) {
+        // Forward (what the kernel takes of) the prefix, then cut the line.
+        std::vector<std::span<const std::uint8_t>> prefix;
+        std::size_t remaining = f.truncate_at;
+        for (const auto& b : buffers) {
+          if (remaining == 0) break;
+          prefix.push_back(b.first(std::min(remaining, b.size())));
+          remaining -= prefix.back().size();
+        }
+        if (!prefix.empty()) inner_->sendvNowait(prefix);
+        abortConnection("send truncated after " +
+                        std::to_string(f.truncate_at) + "/" +
+                        std::to_string(total) + " bytes");
+      }
+    }
+    return inner_->sendvNowait(buffers);
+  }
+
   void setDeadline(std::chrono::steady_clock::time_point deadline) override {
     deadline_us_.store(
         deadline == kNoDeadline
@@ -274,6 +317,21 @@ class FaultyListener : public Listener {
   }
 
   void close() override { inner_->close(); }
+
+  int nativeHandle() const override { return inner_->nativeHandle(); }
+
+  std::unique_ptr<Stream> tryAccept(AcceptStatus& status) override
+      NINF_REACTOR_CONTEXT {
+    for (;;) {
+      auto stream = inner_->tryAccept(status);
+      if (!stream) return nullptr;
+      if (plan_->enabled() && plan_->onConnect()) {
+        stream->close();  // injected refusal; try the next pending one
+        continue;
+      }
+      return wrapFaulty(std::move(stream), plan_);
+    }
+  }
 
  private:
   std::unique_ptr<Listener> inner_;

@@ -79,8 +79,10 @@ class FaultPlan {
 
   /// True = refuse this connection attempt.
   bool onConnect();
-  OpFault onSend(std::size_t bytes);
-  OpFault onRecv(std::size_t bytes);
+  /// `may_delay` = false for non-blocking operations (recvNowait,
+  /// sendvNowait): they must never sleep, so no delay is drawn.
+  OpFault onSend(std::size_t bytes, bool may_delay = true);
+  OpFault onRecv(std::size_t bytes, bool may_delay = true);
 
   /// Faults injected so far (tests assert a schedule actually fired).
   std::uint64_t injectedCount() const {
@@ -104,7 +106,9 @@ std::unique_ptr<Stream> wrapFaulty(std::unique_ptr<Stream> inner,
 
 /// Wrap a listener: injected connect refusals drop the inbound connection
 /// on the floor (the peer sees an immediate reset) and every accepted
-/// stream is wrapped with the same plan.
+/// stream is wrapped with the same plan.  The wrapper keeps the inner
+/// listener's native handle, so a server's reactor serves it: faults
+/// then fire inside the non-blocking accept, receive and send it runs.
 std::unique_ptr<Listener> wrapFaulty(std::unique_ptr<Listener> inner,
                                      std::shared_ptr<FaultPlan> plan);
 

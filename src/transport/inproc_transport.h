@@ -1,6 +1,7 @@
-// In-process transport: a pair of cross-connected byte queues.
-// Used by unit tests and single-process demos; behaves like a loopback
-// socket including EOF-on-close semantics.
+// In-process transport: the two ends of a socketpair(AF_UNIX).
+// Used by unit tests and single-process demos; each end is the same fd
+// stream as a TCP connection (implemented in tcp_transport.cpp), so it
+// is pollable, honours deadlines and is served by the reactor.
 #pragma once
 
 #include <memory>
@@ -11,6 +12,7 @@
 namespace ninf::transport {
 
 /// Create two connected streams: bytes sent on one arrive on the other.
+/// Both report peerName() "inproc".
 std::pair<std::unique_ptr<Stream>, std::unique_ptr<Stream>> inprocPair();
 
 }  // namespace ninf::transport

@@ -19,9 +19,10 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "transport/net_tuning.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "transport/inproc_transport.h"
+#include "transport/net_tuning.h"
 
 namespace ninf::transport {
 
@@ -59,16 +60,14 @@ std::int64_t steadyNowUs() {
       .count();
 }
 
-class TcpStream : public Stream {
+/// Stream over a connected stream-socket fd: a TCP connection, or one
+/// end of an inprocPair() socketpair — so in-process connections poll,
+/// honour deadlines and are served by the reactor exactly like TCP ones.
+class SocketStream : public Stream {
  public:
-  TcpStream(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {
-    int one = 1;
-    // Ninf RPC does its own buffering; disable Nagle so small control
-    // messages (interface queries) do not serialize behind data.
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  SocketStream(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
 
-  ~TcpStream() override { closeFd(/*shutdown_first=*/false); }
+  ~SocketStream() override { closeFd(/*shutdown_first=*/false); }
 
   void sendAll(std::span<const std::uint8_t> data) override {
     const int fd = fd_.load();
@@ -215,7 +214,8 @@ class TcpStream : public Stream {
     return flags == want || ::fcntl(fd, F_SETFL, want) >= 0;
   }
 
-  std::size_t recvNowait(std::span<std::uint8_t> buffer) override {
+  std::size_t recvNowait(std::span<std::uint8_t> buffer) override
+      NINF_REACTOR_CONTEXT {
     const int fd = fd_.load();
     if (fd < 0) throw TransportError("recv on closed stream");
     if (buffer.empty()) return 0;
@@ -237,7 +237,8 @@ class TcpStream : public Stream {
   }
 
   std::size_t sendvNowait(
-      std::span<const std::span<const std::uint8_t>> buffers) override {
+      std::span<const std::span<const std::uint8_t>> buffers) override
+      NINF_REACTOR_CONTEXT {
     const int fd = fd_.load();
     if (fd < 0) throw TransportError("send on closed stream");
     constexpr std::size_t kMaxIov = 64;
@@ -337,7 +338,25 @@ std::string describe(const sockaddr_in& addr) {
   return std::string(buf) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
+/// A SocketStream for an accepted or connected TCP socket.
+std::unique_ptr<Stream> tcpStream(int fd, const sockaddr_in& peer) {
+  int one = 1;
+  // Ninf RPC does its own buffering; disable Nagle so small control
+  // messages (interface queries) do not serialize behind data.
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return std::make_unique<SocketStream>(fd, describe(peer));
+}
+
 }  // namespace
+
+std::pair<std::unique_ptr<Stream>, std::unique_ptr<Stream>> inprocPair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) < 0) {
+    throwErrno("socketpair");
+  }
+  return {std::make_unique<SocketStream>(fds[0], "inproc"),
+          std::make_unique<SocketStream>(fds[1], "inproc")};
+}
 
 std::unique_ptr<Stream> tcpConnect(const std::string& host,
                                    std::uint16_t port,
@@ -361,7 +380,7 @@ std::unique_ptr<Stream> tcpConnect(const std::string& host,
       errno = saved;
       throwErrno("connect to " + where);
     }
-    return std::make_unique<TcpStream>(fd, describe(addr));
+    return tcpStream(fd, addr);
   }
   // Timed connect: non-blocking connect, poll for writability, then read
   // the final status from SO_ERROR and restore blocking mode.
@@ -407,7 +426,7 @@ std::unique_ptr<Stream> tcpConnect(const std::string& host,
   if (::fcntl(fd, F_SETFL, flags) < 0) {
     fail("fcntl for connect to " + where);
   }
-  return std::make_unique<TcpStream>(fd, describe(addr));
+  return tcpStream(fd, addr);
 }
 
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
@@ -481,7 +500,7 @@ std::unique_ptr<Stream> TcpListener::accept() {
       }
       throwErrno("accept");
     }
-    return std::make_unique<TcpStream>(fd, describe(peer));
+    return tcpStream(fd, peer);
   }
 }
 
@@ -507,7 +526,7 @@ std::unique_ptr<Stream> TcpListener::tryAccept(AcceptStatus& status) {
         ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
     if (fd >= 0) {
       status = AcceptStatus::Accepted;
-      return std::make_unique<TcpStream>(fd, describe(peer));
+      return tcpStream(fd, peer);
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {

@@ -1,4 +1,5 @@
-// TCP implementation of the transport abstraction (POSIX sockets).
+// TCP implementation of the transport abstraction (POSIX sockets).  The
+// fd stream class behind it also backs inprocPair() (inproc_transport.h).
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,8 @@ class TcpListener : public Listener {
   void close() override;
 
   int nativeHandle() const override;
-  std::unique_ptr<Stream> tryAccept(AcceptStatus& status) override;
+  std::unique_ptr<Stream> tryAccept(AcceptStatus& status) override
+      NINF_REACTOR_CONTEXT;
 
  private:
   // Atomic: close() is called from another thread to unblock accept().

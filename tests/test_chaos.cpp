@@ -6,9 +6,10 @@
 // (seed, FaultSpec) pair, so any failure replays bit-identically from
 // the seed printed in the test name.
 //
-// Two scenarios: a client talking to one server through a faulty
+// Three scenarios: a client talking to one server through a faulty
 // transport (resets, truncations, stalls, stutter, refused reconnects),
-// and a metaserver failing over from a faulty server to a healthy one.
+// a metaserver failing over from a faulty server to a healthy one, and
+// a server whose reactor serves fault-wrapped connections.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "numlib/ep.h"
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
+#include "obs/metrics.h"
 #include "server/server.h"
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
@@ -218,6 +220,101 @@ TEST_P(ChaosMetaserver, DispatchReturnsCorrectResultOrTypedErrorInTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosMetaserver, ::testing::Range(0, 100));
+
+/// 40 seeded schedules with the faults on the SERVER side: the server is
+/// start()ed on a fault-wrapped TcpListener, so refused accepts, resets,
+/// truncated replies and stuttered reads fire inside the reactor's own
+/// non-blocking accept/recv/send.  Clients are clean and deadlined.
+class ChaosReactor : public ::testing::TestWithParam<int> {
+ protected:
+  /// Every schedule opens with one scripted fault, so each seed injects
+  /// at least once; the probabilistic mix rides on top.
+  static FaultSpec serverSpecForSeed(std::uint64_t seed) {
+    SplitMix64 rng(seed * 0x9e3779b97f4a7c15ULL + 7);
+    FaultSpec spec;
+    spec.reset = 0.05 * rng.nextDouble();
+    spec.truncate = 0.05 * rng.nextDouble();
+    spec.stutter = 0.5 * rng.nextDouble();
+    spec.stutter_bytes = 1 + static_cast<std::size_t>(rng.nextBelow(7));
+    // Delays are drawn only by blocking operations; the reactor never
+    // makes one, so this must not slow anything down.
+    spec.delay = 0.5;
+    if (seed % 2 == 0) {
+      spec.reset_first_sends = 1;
+    } else {
+      spec.refuse_first_connects = 1;
+    }
+    return spec;
+  }
+};
+
+TEST_P(ChaosReactor, ServerSideFaultsYieldCorrectResultOrTypedErrorInTime) {
+  const std::uint64_t seed = 2000 + static_cast<std::uint64_t>(GetParam());
+  auto plan = std::make_shared<FaultPlan>(seed, serverSpecForSeed(seed));
+  const std::uint64_t delays_before =
+      obs::counter("transport.fault.delays").value();
+
+  server::Registry registry;
+  server::registerStandardExecutables(registry);
+  server::NinfServer server(registry, server::ServerOptions{.workers = 2});
+  auto inner = std::make_unique<transport::TcpListener>(0);
+  const auto port = inner->port();
+  server.start(transport::wrapFaulty(
+      std::unique_ptr<transport::Listener>(std::move(inner)), plan));
+
+  const std::size_t n = 6;
+  const numlib::Matrix a = numlib::randomMatrix(n, seed + 10);
+  const numlib::Matrix b = numlib::randomMatrix(n, seed + 11);
+  const numlib::Matrix expected = numlib::dmmul(a, b);
+  const auto dmmul = [&](NinfClient& client, const CallOptions& opts) {
+    std::vector<double> c(n * n, -1.0);
+    std::vector<ArgValue> args = {
+        ArgValue::inInt(static_cast<std::int64_t>(n)),
+        ArgValue::inArray(a.flat()), ArgValue::inArray(b.flat()),
+        ArgValue::outArray(c)};
+    client.call("dmmul", args, opts);
+    return c;
+  };
+
+  CallOptions opts;
+  opts.deadline_seconds = kDeadlineSeconds;
+  opts.retries = 4;
+  opts.backoff_seconds = 0.002;
+  auto client = NinfClient::connectTcp("127.0.0.1", port, 2.0);
+  for (int round = 0; round < 3; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      const std::vector<double> c = dmmul(*client, opts);
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        ASSERT_NEAR(c[i], expected.flat()[i], 1e-12)
+            << "seed " << seed << " round " << round << " index " << i;
+      }
+    } catch (const Error&) {
+      // Typed failure within contract.
+    }
+    // The deadline covers the whole call, retries included.
+    EXPECT_LT(secondsSince(start), kDeadlineSeconds + 1.0)
+        << "seed " << seed << " round " << round;
+  }
+  client->close();
+  EXPECT_GT(plan->injectedCount(), 0u) << "seed " << seed;
+  EXPECT_EQ(obs::counter("transport.fault.delays").value(), delays_before)
+      << "a reactor-side operation slept";
+
+  // The reactor survived the schedule: a clean client on an adopted
+  // (unwrapped) stream gets a correct answer.
+  auto [client_end, server_end] = transport::inprocPair();
+  server.adopt(std::move(server_end));
+  NinfClient clean(std::move(client_end));
+  const std::vector<double> c = dmmul(clean, CallOptions{});
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    ASSERT_NEAR(c[i], expected.flat()[i], 1e-12) << "seed " << seed;
+  }
+  clean.close();
+  server.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosReactor, ::testing::Range(0, 40));
 
 // --- Deterministic fault-injection mechanics -----------------------------
 

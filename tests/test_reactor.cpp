@@ -4,10 +4,14 @@
 // connections with a flat thread count, slow-loris peers that dribble a
 // frame one byte at a time without stalling anyone, and mid-body
 // disconnects that clean up instead of leaking a blocked reader thread.
+// Also the lifecycle of streams handed to the reactor with adopt().
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,8 +23,8 @@
 #include "numlib/ep.h"
 #include "obs/metrics.h"
 #include "protocol/message.h"
-#include "server/reactor.h"
 #include "server/server.h"
+#include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
 #include "xdr/xdr.h"
 
@@ -62,7 +66,6 @@ double reactorFds() { return obs::gauge("server.reactor.fds").value(); }
 class ReactorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(server::Reactor::supported());
     server::registerStandardExecutables(registry_, 2);
     server_.emplace(registry_, options_);
     listener_ = std::make_shared<transport::TcpListener>(0);
@@ -256,17 +259,119 @@ TEST(ReactorBacklog, ExplicitBacklogAcceptsConnections) {
   server.stop();
 }
 
-TEST(ReactorFallback, LegacyPathStillAvailable) {
+/// Open descriptors of this process, from /proc/self/fd (Linux).  The
+/// directory handle the walk itself holds is counted every time alike.
+int processFdCount() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ReactorAdopt, ClosedClientFreesAdoptedStream) {
   Registry registry;
   server::registerStandardExecutables(registry);
-  NinfServer server(registry, {.workers = 1, .use_reactor = false});
+  NinfServer server(registry, {.workers = 1});
+  ASSERT_TRUE(waitFor([] { return reactorFds() == 0.0; }));
+  const int fds_before = processFdCount();
+  {
+    auto [client_end, server_end] = transport::inprocPair();
+    server.adopt(std::move(server_end));
+    NinfClient client(std::move(client_end));
+    std::vector<double> sums(2), q(10);
+    ninfCall(client, "ep", std::int64_t{3}, std::int64_t{256}, sums, q);
+    EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(3, 256).sx);
+    EXPECT_EQ(reactorFds(), 1.0);
+    client.close();
+  }
+  // socketpair ends are real fds now: both must be gone, not just the
+  // reactor's bookkeeping.
+  EXPECT_TRUE(waitFor([] { return reactorFds() == 0.0; }))
+      << "fds gauge " << reactorFds();
+  EXPECT_TRUE(waitFor([&] { return processFdCount() == fds_before; }))
+      << processFdCount() << " fds open, " << fds_before << " before";
+  server.stop();
+}
+
+TEST(ReactorAdopt, StopFailsPendingCallWithTransportError) {
+  Registry registry;
+  std::atomic<bool> entered{false};
+  registry.add(
+      R"IDL(Define nap(mode_in long ms, mode_out double echo[1])
+         Calls "C" nap(ms, echo);)IDL",
+      [&entered](server::CallContext& ctx) {
+        entered = true;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(ctx.intArg("ms")));
+        ctx.arrayOut("echo")[0] = 1.0;
+      });
+  NinfServer server(registry, {.workers = 1});
+  auto [client_end, server_end] = transport::inprocPair();
+  server.adopt(std::move(server_end));
+  NinfClient client(std::move(client_end));
+  client.queryInterface("nap");
+
+  // The deadline only bounds a broken build: a hang would surface as a
+  // TimeoutError after 10 s instead of blocking the suite.
+  auto pending = std::async(std::launch::async, [&client] {
+    std::vector<double> echo(1);
+    std::vector<protocol::ArgValue> args = {protocol::ArgValue::inInt(300),
+                                            protocol::ArgValue::outArray(echo)};
+    client::CallOptions opts;
+    opts.deadline_seconds = 10.0;
+    try {
+      client.call("nap", args, opts);
+      return std::string("returned");
+    } catch (const TimeoutError&) {
+      return std::string("timeout");
+    } catch (const TransportError&) {
+      return std::string("transport error");
+    }
+  });
+  ASSERT_TRUE(waitFor([&] { return entered.load(); }));
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_EQ(pending.get(), "transport error");
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            5.0);
+}
+
+/// A stream and a listener with no pollable handle: nothing the reactor
+/// can serve.
+class UnpollableStream : public transport::Stream {
+ public:
+  void sendAll(std::span<const std::uint8_t>) override {}
+  void recvAll(std::span<std::uint8_t>) override {
+    throw TransportError("unpollable stream has no data");
+  }
+  void setDeadline(std::chrono::steady_clock::time_point) override {}
+  void shutdownSend() override {}
+  void close() override {}
+  std::string peerName() const override { return "unpollable"; }
+};
+
+class UnpollableListener : public transport::Listener {
+ public:
+  std::unique_ptr<transport::Stream> accept() override { return nullptr; }
+  void close() override {}
+};
+
+TEST(ReactorAdopt, RejectsStreamsAndListenersWithoutNativeHandle) {
+  Registry registry;
+  NinfServer server(registry, {.workers = 1});
+  EXPECT_THROW(server.adopt(std::make_unique<UnpollableStream>()),
+               TransportError);
+  EXPECT_THROW(server.start(std::make_shared<UnpollableListener>()),
+               TransportError);
+  // The rejected listener did not count as started.
   auto listener = std::make_shared<transport::TcpListener>(0);
-  const auto port = listener->port();
   server.start(listener);
-  auto client = NinfClient::connectTcp("127.0.0.1", port);
-  std::vector<double> sums(2), q(10);
-  ninfCall(*client, "ep", std::int64_t{0}, std::int64_t{64}, sums, q);
-  EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(0, 64).sx);
+  auto client = NinfClient::connectTcp("127.0.0.1", listener->port());
+  EXPECT_GE(client->ping(), 0.0);
   client->close();
   server.stop();
 }

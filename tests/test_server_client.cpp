@@ -32,14 +32,11 @@ class InprocRpc : public ::testing::Test {
     server_.emplace(registry_, server::ServerOptions{.workers = 2});
     auto [client_end, server_end] = transport::inprocPair();
     client_.emplace(std::move(client_end));
-    server_stream_ = std::move(server_end);
-    server_thread_ = std::thread(
-        [this] { server().serveStream(*server_stream_); });
+    server().adopt(std::move(server_end));
   }
 
   void TearDown() override {
     client().close();
-    server_thread_.join();
     server().stop();
   }
 
@@ -53,8 +50,6 @@ class InprocRpc : public ::testing::Test {
   Registry registry_;
   std::optional<NinfServer> server_;
   std::optional<NinfClient> client_;
-  std::unique_ptr<transport::Stream> server_stream_;
-  std::thread server_thread_;
 };
 
 TEST_F(InprocRpc, QueryInterfaceReturnsCompiledIdl) {

@@ -1,4 +1,4 @@
-// Transports: in-process pipe semantics and real TCP loopback.
+// Transports: in-process socketpair semantics and real TCP loopback.
 #include <gtest/gtest.h>
 
 #include <future>

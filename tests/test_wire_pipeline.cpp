@@ -1,8 +1,9 @@
 // Streaming wire pipeline acceptance: large-array calls must flow
-// end-to-end without the peak contiguous wire buffer ever approaching
-// the array payload size — the scatter-gather path byteswaps through a
-// bounded scratch and receives array bytes straight into their final
-// destination on both sides.
+// end-to-end without the client's peak contiguous wire buffer ever
+// approaching the array payload size — the scatter-gather path
+// byteswaps through a bounded scratch and receives OUT array bytes
+// straight into their final destination.  The server's reactor holds
+// each request frame whole, once, and reports it in a gauge of its own.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -12,6 +13,7 @@
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
 #include "obs/metrics.h"
+#include "protocol/call_marshal.h"
 #include "server/server.h"
 #include "transport/inproc_transport.h"
 #include "xdr/xdr.h"
@@ -31,14 +33,11 @@ class WirePipeline : public ::testing::Test {
     server_.emplace(registry_, server::ServerOptions{.workers = 2});
     auto [client_end, server_end] = transport::inprocPair();
     client_.emplace(std::move(client_end));
-    server_stream_ = std::move(server_end);
-    server_thread_ =
-        std::thread([this] { server().serveStream(*server_stream_); });
+    server().adopt(std::move(server_end));
   }
 
   void TearDown() override {
     client().close();
-    server_thread_.join();
     server().stop();
   }
 
@@ -53,8 +52,6 @@ class WirePipeline : public ::testing::Test {
   // NOLINTNEXTLINE(bugprone-unchecked-optional-access)
   NinfClient& client() { return *client_; }
   std::optional<NinfClient> client_;
-  std::unique_ptr<transport::Stream> server_stream_;
-  std::thread server_thread_;
 };
 
 /// Upper bound for the peak gauge: the 64 KiB byteswap scratch plus the
@@ -62,6 +59,21 @@ class WirePipeline : public ::testing::Test {
 /// generous slack.  Any full-message materialization of the arrays in
 /// this test would overshoot it by an order of magnitude.
 constexpr double kPeakBudget = 256.0 * 1024.0;
+
+/// The server side is measured apart from the streamed codec: the
+/// reactor reassembles each request frame whole into one slab, so its
+/// frame gauge must cover the request body once — one copy per admitted
+/// call — and never reach two.
+void expectOneServerFrameCopy(NinfClient& client,
+                              const std::vector<ArgValue>& args) {
+  const double body = static_cast<double>(
+      protocol::buildCallRequest(client.queryInterface("dmmul"), args)
+          .size());
+  const double frame_peak =
+      obs::gauge("server.reactor.peak_frame_bytes").value();
+  EXPECT_GE(frame_peak, body);
+  EXPECT_LT(frame_peak, 2.0 * body);
+}
 
 TEST_F(WirePipeline, LargeCallNeverMaterializesArrayPayload) {
   const std::size_t n = 384;  // three n*n arrays of 1.125 MiB each
@@ -87,6 +99,7 @@ TEST_F(WirePipeline, LargeCallNeverMaterializesArrayPayload) {
          "materializing payloads";
   EXPECT_GT(result.bytes_sent,
             static_cast<std::int64_t>(2 * n * n * sizeof(double)));
+  expectOneServerFrameCopy(client(), args);
 
   // And the math still has to be right.
   const numlib::Matrix expected = numlib::dmmul(a, b);
@@ -118,6 +131,7 @@ TEST_F(WirePipeline, TwoPhaseLargeArraysStayStreamed) {
   const double peak = obs::gauge("wire.peak_buffer_bytes").value();
   EXPECT_GT(peak, 0.0);
   EXPECT_LE(peak, kPeakBudget);
+  expectOneServerFrameCopy(client(), args);
 
   const numlib::Matrix expected = numlib::dmmul(a, b);
   for (std::size_t i = 0; i < c.size(); i += 997) {

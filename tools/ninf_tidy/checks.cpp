@@ -27,13 +27,16 @@ const std::set<std::string>& blockingPrimitives() {
 /// Lock classes a reactor-context function may acquire: leaf locks
 /// with bounded hold times (documented in docs/ANALYSIS.md).
 /// "server.pending" qualifies only because the sweeper holds it in
-/// bounded chunks — see NinfServer::sweepPending.
+/// bounded chunks — see NinfServer::sweepPending.  "faultplan" is held
+/// for a few RNG draws; the fault decorator sleeps only after it drops,
+/// and never on the non-blocking path the reactor drives.
 const std::set<std::string>& reactorSafeLockClasses() {
   static const std::set<std::string> s = {
       "server.reactor.solo", "pool.buffers",  "obs.registry",
       "obs.trace.buffer",    "obs.trace.registry",
       "server.metrics",      "jobqueue",      "registry",
       "log.sink",            "server.cache",  "server.pending",
+      "faultplan",
   };
   return s;
 }
