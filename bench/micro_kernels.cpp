@@ -4,6 +4,7 @@
 // machine models.
 #include <benchmark/benchmark.h>
 
+#include "numlib/blas.h"
 #include "numlib/ep.h"
 #include "numlib/lu.h"
 #include "numlib/matrix.h"
@@ -79,8 +80,13 @@ void BM_LuParallel(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(numlib::luParallel(a, 4));
   }
+  state.counters["Mflops"] = benchmark::Counter(
+      numlib::linpackFlops(n) / 1e6 * state.iterations(),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LuParallel)->Arg(256)->Arg(512);
+// Wall time: the factorization runs on pool threads, so the main thread's
+// CPU time would overstate the rate.
+BENCHMARK(BM_LuParallel)->Arg(256)->Arg(512)->UseRealTime();
 
 void BM_Dmmul(benchmark::State& state) {
   const std::size_t n = state.range(0);
@@ -91,8 +97,31 @@ void BM_Dmmul(benchmark::State& state) {
     numlib::dmmul(n, a.flat(), b.flat(), c.flat());
     benchmark::DoNotOptimize(c.data());
   }
+  state.counters["Mflops"] = benchmark::Counter(
+      2.0 * n * n * n / 1e6 * state.iterations(),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Dmmul)->Arg(64)->Arg(128)->Arg(256);
+
+// The trailing update of blocked LU's first step at the benchmark size
+// (n = 256, nb = 32): A22(224x224) -= L21(224x32) * U12(32x224), all
+// views into one 256 x 256 matrix.
+void BM_DgemmAcc(benchmark::State& state) {
+  const std::size_t n = 256, nb = 32, m = n - nb;
+  numlib::Matrix a = numlib::randomMatrix(n, 1);
+  double* l21 = a.data() + nb;
+  double* u12 = a.data() + nb * n;
+  double* a22 = a.data() + nb * n + nb;
+  for (auto _ : state) {
+    numlib::dgemmAcc(m, m, nb, l21, n, u12, n, a22, n, -1.0);
+    benchmark::DoNotOptimize(a22);
+    benchmark::ClobberMemory();
+  }
+  state.counters["Mflops"] = benchmark::Counter(
+      2.0 * m * m * nb / 1e6 * state.iterations(),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DgemmAcc);
 
 void BM_EpKernel(benchmark::State& state) {
   const std::int64_t pairs = state.range(0);

@@ -20,16 +20,22 @@ void dscal(double alpha, std::span<double> x);
 /// Index of the element of largest magnitude; 0 for empty input.
 std::size_t idamax(std::span<const double> x);
 
-/// C(mxn) += A(mxk) * B(kxn), all column-major with leading dimensions
-/// lda/ldb/ldc.  Straightforward register-blocked triple loop; this is the
-/// workhorse of the blocked ("optimized library") LU path.
+/// C(mxn) += alpha * A(mxk) * B(kxn), all column-major with leading
+/// dimensions lda/ldb/ldc; the workhorse of the blocked ("optimized
+/// library") LU path and of dmmul.  C is covered by 4x4 tiles whose sums
+/// stay in vector registers over the whole k loop, so each element of C is
+/// loaded and stored once; rows and columns past the last full tile take a
+/// scalar dot-product path.  alpha == 0 returns at once without reading A
+/// or B, so C stays bit-identical even when they hold NaN or Inf.
 void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
               std::size_t lda, const double* b, std::size_t ldb, double* c,
               std::size_t ldc, double alpha = 1.0);
 
 /// Solve L * X = B for X in place, where L is unit lower triangular
-/// (m x m, column-major, lda) and B is m x n (ldb).  Used for the U-panel
-/// update in blocked LU.
+/// (m x m, column-major, lda; only its strict lower triangle is read) and
+/// B is m x n (ldb).  Used for the U-panel update in blocked LU.  Works
+/// down B four rows at a time: dgemmAcc subtracts the rows already solved,
+/// then a small substitution solves the 4x4 diagonal block.
 void dtrsmLowerUnit(std::size_t m, std::size_t n, const double* l,
                     std::size_t lda, double* b, std::size_t ldb);
 

@@ -15,49 +15,46 @@ namespace {
   throw Error("matrix is singular at column " + std::to_string(k));
 }
 
-/// Unblocked panel factorization of the m x n submatrix starting at
-/// (offset, offset) of a column-major array with leading dimension lda.
-/// Records pivots relative to the full matrix.  Row swaps are applied to
-/// the panel columns only; callers swap the rest.
-void panelFactor(double* a, std::size_t lda, std::size_t offset, std::size_t m,
-                 std::size_t n, PivotVector& ipvt) {
-  for (std::size_t k = 0; k < n; ++k) {
-    double* colk = a + (offset + k) * lda + offset;
-    // Pivot search in column k, rows k..m-1 of the panel.
-    std::size_t p = k + idamax({colk + k, m - k});
-    ipvt[offset + k] = offset + p;
-    if (colk[p] == 0.0) singular(offset + k);
-    // Swap rows k and p within the panel columns.
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double* colj = a + (offset + j) * lda + offset;
-        std::swap(colj[k], colj[p]);
-      }
-    }
-    // Scale multipliers and update the remaining panel columns.
-    const double pivot = colk[k];
-    for (std::size_t i = k + 1; i < m; ++i) colk[i] /= pivot;
-    for (std::size_t j = k + 1; j < n; ++j) {
-      double* colj = a + (offset + j) * lda + offset;
-      const double mult = colj[k];
-      if (mult == 0.0) continue;
-      for (std::size_t i = k + 1; i < m; ++i) colj[i] -= mult * colk[i];
+/// Apply the row interchanges recorded for panel columns [offset,
+/// offset+nb) to columns [col_begin, col_end).  Columns outside, pivots
+/// inside: each column's swaps stay within that column.
+void applyPivots(double* a, std::size_t lda, std::size_t offset,
+                 std::size_t nb, std::size_t col_begin, std::size_t col_end,
+                 const PivotVector& ipvt) {
+  for (std::size_t j = col_begin; j < col_end; ++j) {
+    double* col = a + j * lda;
+    for (std::size_t k = offset; k < offset + nb; ++k) {
+      std::swap(col[k], col[ipvt[k]]);
     }
   }
 }
 
-/// Apply the row interchanges recorded for panel columns [offset,
-/// offset+nb) to columns [col_begin, col_end).
-void applyPivots(double* a, std::size_t lda, std::size_t offset,
-                 std::size_t nb, std::size_t col_begin, std::size_t col_end,
-                 const PivotVector& ipvt) {
-  for (std::size_t k = offset; k < offset + nb; ++k) {
-    const std::size_t p = ipvt[k];
-    if (p == k) continue;
-    for (std::size_t j = col_begin; j < col_end; ++j) {
-      std::swap(a[k + j * lda], a[p + j * lda]);
-    }
+/// Factor the m x n panel whose top-left element is (offset, offset) of a
+/// column-major array with leading dimension lda, recording pivots
+/// relative to the full matrix.  Recursive (Toledo's left/right split):
+/// factor the left half, update the right half with one dtrsm and one
+/// dgemm, factor its lower part, then carry those row swaps back to the
+/// left half.  Nearly all panel flops thus run in the level-3 kernels.
+/// Row swaps reach the panel columns only; callers swap the rest.
+void panelFactor(double* a, std::size_t lda, std::size_t offset, std::size_t m,
+                 std::size_t n, PivotVector& ipvt) {
+  double* a11 = a + offset * lda + offset;
+  if (n == 1) {
+    const std::size_t p = idamax({a11, m});
+    ipvt[offset] = offset + p;
+    if (a11[p] == 0.0) singular(offset);
+    std::swap(a11[0], a11[p]);
+    for (std::size_t i = 1; i < m; ++i) a11[i] /= a11[0];
+    return;
   }
+  const std::size_t n1 = n / 2;
+  panelFactor(a, lda, offset, m, n1, ipvt);
+  applyPivots(a, lda, offset, n1, offset + n1, offset + n, ipvt);
+  double* a12 = a11 + n1 * lda;
+  dtrsmLowerUnit(n1, n - n1, a11, lda, a12, lda);
+  dgemmAcc(m - n1, n - n1, n1, a11 + n1, lda, a12, lda, a12 + n1, lda, -1.0);
+  panelFactor(a, lda, offset + n1, m - n1, n - n1, ipvt);
+  applyPivots(a, lda, offset + n1, n - n1, offset, offset + n1, ipvt);
 }
 
 PivotVector luBlockedImpl(Matrix& a, std::size_t nb, std::size_t workers) {

@@ -296,6 +296,8 @@ void Source::skip(std::size_t n) {
 // ---------------------------------------------------------------- Decoder
 
 void Decoder::readBytes(std::span<std::uint8_t> out) {
+  // An empty read may carry a null pointer, which memcpy must never see.
+  if (out.empty()) return;
   if (out.size() > remainingBytes()) {
     throw ProtocolError("XDR underflow: need " + std::to_string(out.size()) +
                         " bytes, have " + std::to_string(remainingBytes()));

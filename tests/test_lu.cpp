@@ -85,13 +85,18 @@ TEST(Lu, VariantsAgreeBitForBitOnSolution) {
 }
 
 TEST(Lu, BlockedHandlesSizeNotMultipleOfBlock) {
-  Matrix a = randomMatrix(37, 11);
-  const Matrix original = a;
-  std::vector<double> b = onesRhs(a);
-  const std::vector<double> rhs = b;
-  const auto ipvt = luBlocked(a, 8);
-  dgesl(a, ipvt, b);
-  EXPECT_LT(linpackResidual(original, b, rhs), kResidualThreshold);
+  // Blocks of 5 and 6 columns also put the kernels' 4-wide tiles off
+  // their grid on every panel, U-panel solve and trailing update.
+  for (const std::size_t nb : {8, 5, 6}) {
+    Matrix a = randomMatrix(37, 11);
+    const Matrix original = a;
+    std::vector<double> b = onesRhs(a);
+    const std::vector<double> rhs = b;
+    const auto ipvt = luBlocked(a, nb);
+    dgesl(a, ipvt, b);
+    EXPECT_LT(linpackResidual(original, b, rhs), kResidualThreshold)
+        << "nb=" << nb;
+  }
 }
 
 TEST(Lu, BlockSizeLargerThanMatrix) {
@@ -126,7 +131,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          LuVariant::Blocked,
                                          LuVariant::Parallel),
                        ::testing::Values<std::size_t>(1, 2, 3, 8, 17, 33, 64,
-                                                      100, 200)));
+                                                      100, 200, 255, 256,
+                                                      257)));
 
 TEST(Dgeco, WellConditionedMatrixHasLargeRcond) {
   // Identity: condition number 1, rcond == 1.
