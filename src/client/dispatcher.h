@@ -39,8 +39,8 @@ class CallDispatcher {
 };
 
 /// Sends every call to the single server produced by the factory, one
-/// fresh connection per call (a TCP RPC connection is occupied for the
-/// duration of a call, so concurrent calls need their own).
+/// fresh connection per call: the factory is its only handle (a v2
+/// connection could multiplex them; pooling one is on the roadmap).
 class DirectDispatcher : public CallDispatcher {
  public:
   explicit DirectDispatcher(ConnectionFactory factory)

@@ -15,10 +15,24 @@ using protocol::MessageType;
 
 namespace {
 
+/// Schedule-pool size.  A ScheduleQuery blocks only on status polls, and
+/// each server's poll_mutex already serialises polls to that server, so
+/// workers beyond a shard's server count only queue on the poll mutexes;
+/// four covers the small per-shard slices the ring hands out.
+constexpr std::size_t kScheduleWorkers = 4;
+
 double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// A reply carrying one encoded wire struct.
+template <typename Msg>
+server::ReactorService::Reply encoded(MessageType type, const Msg& msg) {
+  xdr::Encoder enc;
+  msg.encode(enc);
+  return {type, std::move(enc), nullptr};
 }
 
 }  // namespace
@@ -64,46 +78,26 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
     watchdog_ = std::thread([this] { watchdogLoop(); });
   }
 
-  accept_thread_ = std::thread([this] {
-    while (!stopping_.load()) {
-      std::unique_ptr<transport::Stream> stream;
-      try {
-        stream = listener_->accept();
-      } catch (const Error& e) {
-        if (!stopping_.load()) {
-          NINF_LOG(Warn) << "node accept failed: " << e.what();
-        }
-        break;
-      }
-      if (!stream) break;  // listener closed
-      auto shared = std::shared_ptr<transport::Stream>(std::move(stream));
-      LockGuard lock(conn_mutex_);
-      conn_streams_.push_back(shared);
-      conn_threads_.emplace_back(
-          [this, s = std::move(shared)] { serveConnection(*s); });
-    }
-  });
+  schedule_pool_ = std::make_unique<ThreadPool>(kScheduleWorkers);
+  // v1 with the sharding bit only (trace context would change the
+  // framing); metrics under metaserver.reactor.*.
+  reactor_ = std::make_unique<server::Reactor>(
+      static_cast<ReactorService&>(*this),
+      server::Reactor::Profile{protocol::kVersion, protocol::kFeatureSharding,
+                               "metaserver"},
+      server::Reactor::Options{});
+  reactor_->start(listener_);
 }
 
 void MetaserverNode::stop() {
   if (stopping_.exchange(true)) return;
   if (listener_) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Reactor before pool: no new query is staged once the loop exits, and
+  // replies of queries still polling are dropped by the stopped reactor.
+  if (reactor_) reactor_->stop();
+  if (schedule_pool_) schedule_pool_->drain();
   if (watchdog_.joinable()) watchdog_.join();
   if (repl_) repl_->stop();
-  std::vector<std::thread> conns;
-  std::vector<std::weak_ptr<transport::Stream>> streams;
-  {
-    LockGuard lock(conn_mutex_);
-    conns.swap(conn_threads_);
-    streams.swap(conn_streams_);
-  }
-  for (auto& weak : streams) {
-    if (auto s = weak.lock()) s->close();
-  }
-  for (auto& t : conns) {
-    if (t.joinable()) t.join();
-  }
 }
 
 protocol::RingDescriptor MetaserverNode::ringView() const {
@@ -155,10 +149,47 @@ void MetaserverNode::promote() {
                  << " backup promoted to primary at epoch " << base + 1;
 }
 
-void MetaserverNode::sendWrongShard(transport::Stream& stream,
-                                    const std::string& entry,
-                                    std::uint32_t owner,
-                                    protocol::RedirectReason reason) {
+void MetaserverNode::stageFrame(std::uint64_t conn_id,
+                                protocol::WireMode mode,
+                                protocol::Frame frame) {
+  // std::function must be copyable; the frame's slab is move-only.
+  auto f = std::make_shared<protocol::Frame>(std::move(frame));
+  schedule_pool_->submit([this, conn_id, mode, f] {
+    // Empty = the query failed: the reactor still frees the admission
+    // slot and the v1 hold, and closes the connection.
+    common::PooledBuffer wire;
+    try {
+      const Reply reply = scheduleReply(f->body.span());
+      wire = protocol::flattenFramePooled(mode, reply.type, f->header.call_id,
+                                          f->header.trace, reply.body);
+    } catch (const std::exception& e) {
+      NINF_LOG(Warn) << "node schedule query aborted: " << e.what();
+    }
+    reactor_->postFinish(conn_id, std::move(wire));
+  });
+}
+
+MetaserverNode::Reply MetaserverNode::controlReply(
+    MessageType type, std::span<const std::uint8_t> payload) {
+  switch (type) {
+    case MessageType::RingQuery:
+      return encoded(MessageType::RingInfo, ringView());
+    case MessageType::RegisterServer:
+    case MessageType::DeregisterServer:
+      return registryReply(payload);
+    case MessageType::ReplAppend:
+      return replAppendReply(payload);
+    case MessageType::ReplHeartbeat:
+      return replHeartbeatReply(payload);
+    default:
+      throw ProtocolError("metaserver node got message type " +
+                          std::to_string(static_cast<std::uint32_t>(type)));
+  }
+}
+
+MetaserverNode::Reply MetaserverNode::wrongShard(
+    const std::string& entry, std::uint32_t owner,
+    protocol::RedirectReason reason) const {
   static obs::Counter& redirects = obs::counter("metaserver.shard.redirects");
   redirects.add();
   protocol::RedirectInfo info;
@@ -166,83 +197,21 @@ void MetaserverNode::sendWrongShard(transport::Stream& stream,
   info.owner_shard = owner;
   info.ring_epoch = HashRing::epochOf(ringView());
   info.reason = reason;
-  xdr::Encoder enc;
-  info.encode(enc);
-  protocol::sendMessage(stream, MessageType::WrongShard, enc.bytes());
+  return encoded(MessageType::WrongShard, info);
 }
 
-void MetaserverNode::serveConnection(transport::Stream& stream) {
-  try {
-    for (;;) {
-      const protocol::Message msg = protocol::recvMessage(stream);
-      switch (msg.type) {
-        case MessageType::Hello: {
-          xdr::Decoder dec(msg.payload);
-          dec.getU32();  // client's max version; nodes always speak v1
-          const bool sent_features = dec.remaining() >= 4;
-          const std::uint32_t client_features =
-              sent_features ? dec.getU32() : 0;
-          xdr::Encoder ack;
-          ack.putU32(protocol::kVersion);
-          // The control plane implements sharding only; trace context
-          // would change the framing this v1 loop expects.
-          if (sent_features) {
-            ack.putU32(client_features & protocol::kFeatureSharding);
-          }
-          protocol::sendMessage(stream, MessageType::HelloAck, ack.bytes());
-          break;
-        }
-        case MessageType::Ping:
-          protocol::sendMessage(stream, MessageType::Pong, msg.payload);
-          break;
-        case MessageType::RingQuery: {
-          const protocol::RingDescriptor view = ringView();
-          xdr::Encoder enc;
-          view.encode(enc);
-          protocol::sendMessage(stream, MessageType::RingInfo, enc.bytes());
-          break;
-        }
-        case MessageType::ScheduleQuery:
-          handleScheduleQuery(stream, msg.payload);
-          break;
-        case MessageType::RegisterServer:
-        case MessageType::DeregisterServer:
-          handleRegistryOp(stream, msg.payload);
-          break;
-        case MessageType::ReplAppend:
-          handleReplAppend(stream, msg.payload);
-          break;
-        case MessageType::ReplHeartbeat:
-          handleReplHeartbeat(stream, msg.payload);
-          break;
-        default:
-          throw ProtocolError(
-              "metaserver node got message type " +
-              std::to_string(static_cast<std::uint32_t>(msg.type)));
-      }
-    }
-  } catch (const TransportError&) {
-    // Normal disconnect path.
-  } catch (const std::exception& e) {
-    NINF_LOG(Warn) << "node connection from " << stream.peerName()
-                   << " aborted: " << e.what();
-  }
-}
-
-void MetaserverNode::handleScheduleQuery(
-    transport::Stream& stream, std::span<const std::uint8_t> payload) {
+MetaserverNode::Reply MetaserverNode::scheduleReply(
+    std::span<const std::uint8_t> payload) {
   xdr::Decoder dec(payload);
   const protocol::ScheduleRequest req = protocol::ScheduleRequest::decode(dec);
   const std::uint32_t owner = ownership_.ownerOf(req.entry);
   if (owner != opts_.shard_id) {
-    sendWrongShard(stream, req.entry, owner,
-                   protocol::RedirectReason::NotOwner);
-    return;
+    return wrongShard(req.entry, owner, protocol::RedirectReason::NotOwner);
   }
-  if (!writable()) {
-    sendWrongShard(stream, req.entry, opts_.shard_id,
-                   protocol::RedirectReason::NotPrimary);
-    return;
+  if (!primary_.load(std::memory_order_acquire) ||
+      fenced_.load(std::memory_order_acquire)) {
+    return wrongShard(req.entry, opts_.shard_id,
+                      protocol::RedirectReason::NotPrimary);
   }
   static obs::Counter& queries = obs::counter("metaserver.shard.queries");
   queries.add();
@@ -270,13 +239,11 @@ void MetaserverNode::handleScheduleQuery(
       // the typed NotFoundError on its side.
     }
   }
-  xdr::Encoder enc;
-  choice.encode(enc);
-  protocol::sendMessage(stream, MessageType::ScheduleReply, enc.bytes());
+  return encoded(MessageType::ScheduleReply, choice);
 }
 
-void MetaserverNode::handleRegistryOp(transport::Stream& stream,
-                                      std::span<const std::uint8_t> payload) {
+MetaserverNode::Reply MetaserverNode::registryReply(
+    std::span<const std::uint8_t> payload) {
   xdr::Decoder dec(payload);
   protocol::RegistryOp op = protocol::RegistryOp::decode(dec);
   // Every entry the server exports must belong to this shard; an empty
@@ -284,33 +251,21 @@ void MetaserverNode::handleRegistryOp(transport::Stream& stream,
   for (const auto& entry : op.desc.entries) {
     const std::uint32_t owner = ownership_.ownerOf(entry);
     if (owner != opts_.shard_id) {
-      sendWrongShard(stream, entry, owner,
-                     protocol::RedirectReason::NotOwner);
-      return;
+      return wrongShard(entry, owner, protocol::RedirectReason::NotOwner);
     }
+  }
+  if (!primary_.load(std::memory_order_acquire)) {
+    // A live backup: the shard is fine, the client just picked the wrong
+    // role.
+    return wrongShard(
+        op.desc.entries.empty() ? op.desc.name : op.desc.entries.front(),
+        opts_.shard_id, protocol::RedirectReason::NotPrimary);
   }
   protocol::RegisterResult result;
   result.shard_epoch = epoch_.load(std::memory_order_acquire);
-  if (!writable()) {
-    if (fenced_.load(std::memory_order_acquire)) {
-      static obs::Counter& fenced_writes =
-          obs::counter("metaserver.replication.fenced_writes");
-      fenced_writes.add();
-      result.status = protocol::RegisterResult::Status::Fenced;
-      xdr::Encoder enc;
-      result.encode(enc);
-      protocol::sendMessage(stream, MessageType::RegisterAck, enc.bytes());
-    } else {
-      // A live backup: the shard is fine, the client just picked the
-      // wrong role.
-      sendWrongShard(stream,
-                     op.desc.entries.empty() ? op.desc.name
-                                             : op.desc.entries.front(),
-                     opts_.shard_id, protocol::RedirectReason::NotPrimary);
-    }
-    return;
-  }
   try {
+    // A fenced primary's link is fenced first (the fence callback runs
+    // after it), so append() refuses the write before it is queued.
     op.seq = repl_ ? repl_->append(op)
                    : local_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     result.status = dir_.apply(op);
@@ -321,27 +276,35 @@ void MetaserverNode::handleRegistryOp(transport::Stream& stream,
     fenced_writes.add();
     result.status = protocol::RegisterResult::Status::Fenced;
   }
-  xdr::Encoder enc;
-  result.encode(enc);
-  protocol::sendMessage(stream, MessageType::RegisterAck, enc.bytes());
+  return encoded(MessageType::RegisterAck, result);
 }
 
-void MetaserverNode::handleReplAppend(transport::Stream& stream,
-                                      std::span<const std::uint8_t> payload) {
-  xdr::Decoder dec(payload);
-  const protocol::ReplAppendMsg msg = protocol::ReplAppendMsg::decode(dec);
-  protocol::ReplAckMsg ack;
+bool MetaserverNode::acceptReplicated(std::uint64_t sender_epoch,
+                                      protocol::ReplAckMsg& ack) {
   const std::uint64_t mine = epoch_.load(std::memory_order_acquire);
   const bool primary = primary_.load(std::memory_order_acquire);
-  if (msg.shard_epoch < mine || (primary && msg.shard_epoch <= mine)) {
+  if (sender_epoch < mine || (primary && sender_epoch <= mine)) {
     // The sender is a deposed primary: refuse, and tell it our epoch so
     // it fences itself.
     ack.status = protocol::ReplAckMsg::Status::StaleEpoch;
     ack.shard_epoch = mine;
-  } else {
-    epoch_.store(msg.shard_epoch, std::memory_order_release);
-    seen_epoch_.store(msg.shard_epoch, std::memory_order_release);
-    last_heartbeat_.store(nowSeconds(), std::memory_order_release);
+    return false;
+  }
+  epoch_.store(sender_epoch, std::memory_order_release);
+  seen_epoch_.store(sender_epoch, std::memory_order_release);
+  last_heartbeat_.store(nowSeconds(), std::memory_order_release);
+  ack.status = protocol::ReplAckMsg::Status::Ok;
+  ack.shard_epoch = sender_epoch;
+  return true;
+}
+
+MetaserverNode::Reply MetaserverNode::replAppendReply(
+    std::span<const std::uint8_t> payload) {
+  xdr::Decoder dec(payload);
+  const protocol::ReplAppendMsg msg = protocol::ReplAppendMsg::decode(dec);
+  protocol::ReplAckMsg ack;
+  if (acceptReplicated(msg.shard_epoch, ack)) {
+    ack.seq = msg.op.seq;
     try {
       dir_.apply(msg.op);
     } catch (const std::exception& e) {
@@ -350,38 +313,21 @@ void MetaserverNode::handleReplAppend(transport::Stream& stream,
       NINF_LOG(Warn) << "replicated op " << msg.op.seq
                      << " failed to apply: " << e.what();
     }
-    ack.status = protocol::ReplAckMsg::Status::Ok;
-    ack.seq = msg.op.seq;
-    ack.shard_epoch = msg.shard_epoch;
   }
-  xdr::Encoder enc;
-  ack.encode(enc);
-  protocol::sendMessage(stream, MessageType::ReplAck, enc.bytes());
+  return encoded(MessageType::ReplAck, ack);
 }
 
-void MetaserverNode::handleReplHeartbeat(
-    transport::Stream& stream, std::span<const std::uint8_t> payload) {
+MetaserverNode::Reply MetaserverNode::replHeartbeatReply(
+    std::span<const std::uint8_t> payload) {
   xdr::Decoder dec(payload);
   const protocol::ReplHeartbeatMsg msg =
       protocol::ReplHeartbeatMsg::decode(dec);
   protocol::ReplAckMsg ack;
-  const std::uint64_t mine = epoch_.load(std::memory_order_acquire);
-  const bool primary = primary_.load(std::memory_order_acquire);
-  if (msg.shard_epoch < mine || (primary && msg.shard_epoch <= mine)) {
-    ack.status = protocol::ReplAckMsg::Status::StaleEpoch;
-    ack.shard_epoch = mine;
-  } else {
-    epoch_.store(msg.shard_epoch, std::memory_order_release);
-    seen_epoch_.store(msg.shard_epoch, std::memory_order_release);
-    last_heartbeat_.store(nowSeconds(), std::memory_order_release);
-    dir_.adoptLiveness(msg.liveness);
-    ack.status = protocol::ReplAckMsg::Status::Ok;
+  if (acceptReplicated(msg.shard_epoch, ack)) {
     ack.seq = msg.last_seq;
-    ack.shard_epoch = msg.shard_epoch;
+    dir_.adoptLiveness(msg.liveness);
   }
-  xdr::Encoder enc;
-  ack.encode(enc);
-  protocol::sendMessage(stream, MessageType::ReplAck, enc.bytes());
+  return encoded(MessageType::ReplAck, ack);
 }
 
 }  // namespace ninf::metaserver

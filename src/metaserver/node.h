@@ -8,11 +8,12 @@
 // its current ring view's epoch so the client knows whether its cached
 // ring is stale.
 //
-// Protocol: nodes speak v1 lock-step framing and negotiate only the
-// kFeatureSharding bit — HelloAck answers agreed version 1 and echoes
-// the sharding bit to feature-aware clients, so the session layer stays
-// byte-identical for everyone else and no v2 demux machinery is needed
-// on the control plane.
+// Serving: a node is a service of the epoll reactor (server/reactor.h)
+// that caps Hello at v1 lock-step framing and the kFeatureSharding bit,
+// so no v2 demux is needed on the control plane.  Ping, RingQuery,
+// registry and replication ops never block (replication only queues)
+// and are answered on the reactor thread; ScheduleQuery may block on
+// status polls and takes the staged path to a small fixed worker pool.
 //
 // Roles and fencing:
 //  * primary  — serves schedules and registrations, ships every registry
@@ -33,12 +34,15 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
-#include <vector>
 
+#include "common/thread_pool.h"
 #include "metaserver/directory.h"
 #include "metaserver/replication.h"
 #include "metaserver/ring.h"
+#include "server/reactor.h"
 #include "transport/transport.h"
 
 namespace ninf::metaserver {
@@ -73,7 +77,7 @@ struct NodeOptions {
   protocol::RingDescriptor ring;
 };
 
-class MetaserverNode {
+class MetaserverNode final : private server::ReactorService {
  public:
   explicit MetaserverNode(NodeOptions opts);
   ~MetaserverNode();
@@ -81,12 +85,13 @@ class MetaserverNode {
   MetaserverNode(const MetaserverNode&) = delete;
   MetaserverNode& operator=(const MetaserverNode&) = delete;
 
-  /// Serve connections accepted from `listener` on background threads
+  /// Serve connections accepted from `listener` on the node's reactor
   /// until stop().  Also starts replication (primary with a backup
   /// factory) or the promotion watchdog (backup).
   void serve(std::shared_ptr<transport::Listener> listener);
 
-  /// Stop accepting, drop connections, join threads.  Idempotent.
+  /// Stop the reactor (closing every connection), finish in-flight
+  /// schedule queries, join threads.  Idempotent.
   /// A stopped node is indistinguishable from a crashed one to clients
   /// — the failover tests kill primaries exactly this way.
   void stop();
@@ -108,22 +113,26 @@ class MetaserverNode {
   ReplicationLink* replication() { return repl_.get(); }
 
  private:
-  void serveConnection(transport::Stream& stream);
-  void handleScheduleQuery(transport::Stream& stream,
-                           std::span<const std::uint8_t> payload);
-  void handleRegistryOp(transport::Stream& stream,
-                        std::span<const std::uint8_t> payload);
-  void handleReplAppend(transport::Stream& stream,
-                        std::span<const std::uint8_t> payload);
-  void handleReplHeartbeat(transport::Stream& stream,
-                           std::span<const std::uint8_t> payload);
-  void sendWrongShard(transport::Stream& stream, const std::string& entry,
-                      std::uint32_t owner, protocol::RedirectReason reason);
-  /// True when this node may apply writes right now.
-  bool writable() const {
-    return primary_.load(std::memory_order_acquire) &&
-           !fenced_.load(std::memory_order_acquire);
+  bool staged(protocol::MessageType type) const override
+      NINF_REACTOR_CONTEXT {
+    return type == protocol::MessageType::ScheduleQuery;
   }
+  void stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
+                  protocol::Frame frame) override NINF_REACTOR_CONTEXT;
+  Reply controlReply(protocol::MessageType type,
+                     std::span<const std::uint8_t> payload) override
+      NINF_REACTOR_CONTEXT;
+
+  Reply scheduleReply(std::span<const std::uint8_t> payload);
+  Reply registryReply(std::span<const std::uint8_t> payload);
+  Reply replAppendReply(std::span<const std::uint8_t> payload);
+  Reply replHeartbeatReply(std::span<const std::uint8_t> payload);
+  /// Epoch gate of both replication frames: false (a StaleEpoch ack) for
+  /// a deposed primary, else adopt its epoch and note the heartbeat.
+  bool acceptReplicated(std::uint64_t sender_epoch,
+                        protocol::ReplAckMsg& ack);
+  Reply wrongShard(const std::string& entry, std::uint32_t owner,
+                   protocol::RedirectReason reason) const;
   void watchdogLoop();
   void promote();
 
@@ -146,12 +155,11 @@ class MetaserverNode {
 
   std::shared_ptr<transport::Listener> listener_;
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
   std::thread watchdog_;
-  Mutex conn_mutex_{"node.conns"};
-  std::vector<std::thread> conn_threads_ NINF_GUARDED_BY(conn_mutex_);
-  std::vector<std::weak_ptr<transport::Stream>> conn_streams_
-      NINF_GUARDED_BY(conn_mutex_);
+  /// Created by serve().  The reactor outlives stop() so a schedule task
+  /// still running on the pool can post to it (the post is dropped).
+  std::unique_ptr<server::Reactor> reactor_;
+  std::unique_ptr<ThreadPool> schedule_pool_;
 };
 
 }  // namespace ninf::metaserver

@@ -5,14 +5,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/batch.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "server/server.h"
-#include "xdr/xdr.h"
+#include "transport/net_tuning.h"
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -34,8 +34,23 @@ double monotonicSeconds() {
 
 }  // namespace
 
-Reactor::Reactor(NinfServer& server, Options options)
-    : server_(server), options_(options) {
+Reactor::Metrics::Metrics(const std::string& root)
+    : wakeups(obs::counter(root + ".reactor.wakeups")),
+      v2_connections(obs::counter(root + ".v2_connections")),
+      flushes(obs::counter(root + ".reactor.batch.flushes")),
+      frames(obs::counter(root + ".reactor.batch.frames")),
+      frames_per_writev(
+          obs::histogram(root + ".reactor.batch.frames_per_writev")),
+      solo_depth(obs::gauge(root + ".reactor.stage_depth.solo")),
+      epilogue_depth(obs::gauge(root + ".reactor.stage_depth.epilogue")),
+      peak_frame_bytes(obs::gauge(root + ".reactor.peak_frame_bytes")),
+      fds(obs::gauge(root + ".reactor.fds")) {}
+
+Reactor::Reactor(ReactorService& service, Profile profile, Options options)
+    : service_(service),
+      profile_(profile),
+      metrics_(std::string(profile_.metrics_root)),
+      options_(options) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw TransportError("epoll_create1 failed");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -73,7 +88,7 @@ void Reactor::stop() {
   // No thread can reach the fds any more: the loop exited and postSolo
   // now drops before touching wake_fd_.
   conns_.clear();
-  updateFdGauge();
+  metrics_.fds.set(static_cast<double>(conns_.size()));
   ::close(wake_fd_);
   ::close(epoll_fd_);
   wake_fd_ = epoll_fd_ = -1;
@@ -127,11 +142,10 @@ void Reactor::addConn(std::unique_ptr<transport::Stream> stream) {
     return;
   }
   conns_.emplace(id, std::move(conn));
-  updateFdGauge();
+  metrics_.fds.set(static_cast<double>(conns_.size()));
 }
 
 void Reactor::postSolo(std::function<void()> fn) {
-  static obs::Counter& wakeups = obs::counter("server.reactor.wakeups");
   bool woke = false;
   {
     LockGuard g(solo_mutex_);
@@ -148,7 +162,13 @@ void Reactor::postSolo(std::function<void()> fn) {
   }
   // The counter nests the obs registry lock on first touch; keep that
   // (and the atomic add) off the solo queue's critical section.
-  if (woke) wakeups.add();
+  if (woke) metrics_.wakeups.add();
+}
+
+void Reactor::postFinish(std::uint64_t conn_id, common::PooledBuffer reply) {
+  // postSolo takes a copyable std::function; the slab is move-only.
+  auto r = std::make_shared<common::PooledBuffer>(std::move(reply));
+  postSolo([this, conn_id, r] { finishStagedCall(conn_id, std::move(*r)); });
 }
 
 void Reactor::drainSolo() {
@@ -157,8 +177,7 @@ void Reactor::drainSolo() {
     LockGuard g(solo_mutex_);
     batch.swap(solo_queue_);
   }
-  obs::gauge("server.reactor.stage_depth.solo")
-      .set(static_cast<double>(batch.size()));
+  metrics_.solo_depth.set(static_cast<double>(batch.size()));
   for (auto& fn : batch) fn();
 }
 
@@ -251,7 +270,7 @@ void Reactor::handleAccept() {
           accept_registered_ = false;
         }
         accept_resume_at_ =
-            monotonicSeconds() + options_.accept_backoff_seconds;
+            monotonicSeconds() + transport::kAcceptBackoffSeconds;
         return;
     }
   }
@@ -322,42 +341,36 @@ void Reactor::processFrames(Conn& conn) {
 void Reactor::dispatchFrame(Conn& conn, Frame frame) {
   // Every frame arrives whole in one slab: its own high-water mark, kept
   // apart from the streamed codec's wire.peak_buffer_bytes.
-  static obs::Gauge& peak_frame = obs::gauge("server.reactor.peak_frame_bytes");
   const double frame_bytes = static_cast<double>(frame.body.size());
-  if (frame_bytes > peak_frame.value()) peak_frame.set(frame_bytes);
+  if (frame_bytes > metrics_.peak_frame_bytes.value()) {
+    metrics_.peak_frame_bytes.set(frame_bytes);
+  }
   try {
-    switch (frame.header.type) {
-      case MessageType::Hello:
-        handleHello(conn, frame);
-        return;
-      case MessageType::CallRequest:
-      case MessageType::SubmitRequest: {
-        ++conn.staged_inflight;
-        ++staged_total_;
-        if (conn.mode == WireMode::V1) conn.v1_busy = true;
-        static obs::Gauge& prologue =
-            obs::gauge("server.reactor.stage_depth.prologue");
-        prologue.set(prologue.value() + 1.0);
-        server_.reactorStageCall(conn.id, conn.mode, std::move(frame));
-        return;
-      }
-      default: {
-        // Small control messages: compute the reply inline on the
-        // reactor thread (registry/pending lookups, no compute).
-        protocol::Message msg;
-        msg.type = frame.header.type;
-        msg.payload.assign(frame.body.data(),
-                           frame.body.data() + frame.body.size());
-        NinfServer::ReplyEnvelope env = server_.controlReply(msg);
-        queueReply(conn.id,
-                   protocol::flattenFramePooled(conn.mode, env.type,
-                                                frame.header.call_id,
-                                                frame.header.trace,
-                                                env.payload.body));
-        return;
-      }
+    const MessageType type = frame.header.type;
+    if (type == MessageType::Hello) {
+      handleHello(conn, frame);
+    } else if (type == MessageType::Ping) {
+      queueReply(conn.id, protocol::frameFromPayload(
+                              conn.mode, MessageType::Pong,
+                              frame.header.call_id, frame.header.trace,
+                              frame.body.span()));
+    } else if (service_.staged(type)) {
+      ++conn.staged_inflight;
+      ++staged_total_;
+      if (conn.mode == WireMode::V1) conn.v1_busy = true;
+      service_.stageFrame(conn.id, conn.mode, std::move(frame));
+    } else {
+      // Small control messages: the service answers inline, on this
+      // thread (lookups and bookkeeping, nothing that blocks).
+      const ReactorService::Reply reply =
+          service_.controlReply(type, frame.body.span());
+      queueReply(conn.id, protocol::flattenFramePooled(
+                              conn.mode, reply.type, frame.header.call_id,
+                              frame.header.trace, reply.body));
     }
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // Malformed payloads, unknown types and failed preconditions alike:
+    // one bad frame costs its own connection, never the reactor thread.
     NINF_LOG(Warn) << "connection from " << conn.stream->peerName()
                    << " aborted: " << e.what();
     killConn(conn);
@@ -365,17 +378,13 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
 }
 
 void Reactor::handleHello(Conn& conn, const Frame& frame) {
-  static obs::Counter& upgrades = obs::counter("server.v2_connections");
   xdr::Decoder dec(frame.body.span());
   const std::uint32_t client_max = dec.getU32();
   const bool client_sent_features = dec.remaining() >= 4;
   const std::uint32_t client_features =
       client_sent_features ? dec.getU32() : 0;
-  const std::uint32_t agreed = std::min(client_max, protocol::kMaxVersion);
-  // The compute server implements the trace extension only; the sharding
-  // control plane lives on metaserver nodes.
-  const std::uint32_t features =
-      client_features & protocol::kFeatureTraceContext;
+  const std::uint32_t agreed = std::min(client_max, profile_.max_version);
+  const std::uint32_t features = client_features & profile_.features;
   xdr::Encoder ack;
   ack.putU32(agreed);
   if (client_sent_features) ack.putU32(features);
@@ -386,7 +395,7 @@ void Reactor::handleHello(Conn& conn, const Frame& frame) {
                                           frame.header.call_id,
                                           frame.header.trace, ack));
   if (agreed >= protocol::kVersion2) {
-    upgrades.add();
+    metrics_.v2_connections.add();
     conn.mode = (features & protocol::kFeatureTraceContext)
                     ? WireMode::V2Traced
                     : WireMode::V2;
@@ -399,8 +408,7 @@ void Reactor::queueReply(std::uint64_t conn_id, common::PooledBuffer frame) {
   if (it == conns_.end() || it->second.dead) return;
   it->second.writeq.push_back(OutBuf{std::move(frame), 0});
   ++epilogue_depth_;
-  obs::gauge("server.reactor.stage_depth.epilogue")
-      .set(static_cast<double>(epilogue_depth_));
+  metrics_.epilogue_depth.set(static_cast<double>(epilogue_depth_));
   // No immediate flush: frames queued in the same wakeup burst coalesce
   // into one writev at the end of the loop iteration (flushPending).
   markFlush(it->second);
@@ -420,7 +428,9 @@ void Reactor::finishStagedCall(std::uint64_t conn_id,
     --staged_total_;
   }
   conn.v1_busy = false;
-  if (!reply.empty() && !conn.dead) {
+  if (reply.empty()) {
+    killConn(conn);
+  } else if (!conn.dead) {
     queueReply(conn_id, std::move(reply));
   }
   // The freed admission slot (and, for v1, the lifted lock-step hold)
@@ -456,10 +466,6 @@ void Reactor::flushPending() {
 
 void Reactor::flushConn(Conn& conn) {
   if (conn.dead) return;
-  static obs::Counter& flushes = obs::counter("server.reactor.batch.flushes");
-  static obs::Counter& frames = obs::counter("server.reactor.batch.frames");
-  static obs::Histogram& per_writev =
-      obs::histogram("server.reactor.batch.frames_per_writev");
   const common::BatchLimits limits = common::batchLimits();
   while (!conn.writeq.empty()) {
     // Coalesce up to max_iov queued frames (bounded by the byte budget,
@@ -484,9 +490,9 @@ void Reactor::flushConn(Conn& conn) {
       killConn(conn);
       return;
     }
-    flushes.add();
-    frames.add(count);
-    per_writev.observe(static_cast<double>(count));
+    metrics_.flushes.add();
+    metrics_.frames.add(count);
+    metrics_.frames_per_writev.observe(static_cast<double>(count));
     if (sent == 0) break;  // kernel buffer full
     while (sent > 0 && !conn.writeq.empty()) {
       OutBuf& front = conn.writeq.front();
@@ -503,8 +509,7 @@ void Reactor::flushConn(Conn& conn) {
       }
     }
   }
-  obs::gauge("server.reactor.stage_depth.epilogue")
-      .set(static_cast<double>(epilogue_depth_));
+  metrics_.epilogue_depth.set(static_cast<double>(epilogue_depth_));
   const bool want_write = !conn.writeq.empty();
   if (want_write != conn.want_write) {
     conn.want_write = want_write;
@@ -587,14 +592,9 @@ void Reactor::destroyConn(std::uint64_t conn_id) {
   staged_total_ -= std::min(staged_total_, conn.staged_inflight);
   epilogue_depth_ -= std::min(epilogue_depth_, conn.writeq.size());
   conns_.erase(it);
-  updateFdGauge();
-  obs::gauge("server.reactor.stage_depth.epilogue")
-      .set(static_cast<double>(epilogue_depth_));
+  metrics_.fds.set(static_cast<double>(conns_.size()));
+  metrics_.epilogue_depth.set(static_cast<double>(epilogue_depth_));
   resumeReads();
-}
-
-void Reactor::updateFdGauge() const {
-  obs::gauge("server.reactor.fds").set(static_cast<double>(conns_.size()));
 }
 
 }  // namespace ninf::server

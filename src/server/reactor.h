@@ -1,25 +1,28 @@
-// Event-driven server core: a single epoll reactor owning every
-// connection fd, feeding a staged execution pipeline.
+// Event-driven serving core: a single epoll reactor owning every
+// connection fd of one service, feeding a staged execution pipeline.
 //
 //   ┌─────────── reactor thread (solo) ────────────┐
 //   │ epoll_wait → accept / read / write readiness │
-//   │ frame reassembly → dispatch                  │
-//   │ job-queue admission (bounded in-flight)      │
+//   │ frame reassembly → Hello, Ping / dispatch    │
+//   │ staged-call admission (bounded in-flight)    │
 //   │ reply write queues → non-blocking writev     │
 //   └──────▲───────────────────────────┬───────────┘
-//          │ postSolo (eventfd wakeup) │ queue_.push
+//          │ postSolo (eventfd wakeup) │ stageFrame
 //   ┌──────┴───────────────────────────▼───────────┐
-//   │ worker pool: prologue (arg unmarshal) and    │
-//   │ compute + epilogue (result marshal into      │
-//   │ owned wire buffers), both stateless          │
+//   │ the service's workers: whatever may block or │
+//   │ compute, replying through postFinish         │
 //   └──────────────────────────────────────────────┘
+//
+// The reactor serves a ReactorService — NinfServer, or the metaserver's
+// MetaserverNode — owning the wire (framing, the Hello negotiation,
+// admission, writes) and asking the service only what to answer.
 //
 // The reactor thread is the only thread that touches connection state
 // (fds, reassembly buffers, write queues); workers communicate with it
 // exclusively through postSolo().  One thread serves every connection,
 // so an idle connection costs one epoll registration — no reader
-// thread, no writer thread — and server thread count is O(workers),
-// not O(connections).
+// thread, no writer thread — and thread count is O(workers), not
+// O(connections).
 //
 // Connections arrive two ways: accepted from the listener registered
 // with start(), or handed over already established through adopt() (an
@@ -46,41 +49,74 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/sync.h"
+#include "obs/metrics.h"
 #include "protocol/message.h"
-#include "transport/net_tuning.h"
 #include "transport/transport.h"
+#include "xdr/xdr.h"
 
 namespace ninf::server {
 
-class NinfServer;
+/// What a Reactor serves.  Its methods run on the reactor thread and must
+/// not block; a frame type whose work may block is staged instead, and
+/// runs on the service's workers under an admission slot.  A handler
+/// that throws aborts its own connection only.
+class ReactorService {
+ public:
+  /// An inline reply; `body` may borrow memory that `keepalive` owns.
+  struct Reply {
+    protocol::MessageType type{};
+    xdr::Encoder body;
+    std::shared_ptr<void> keepalive;
+  };
+
+  /// True when frames of `type` go to stageFrame().
+  virtual bool staged(protocol::MessageType type) const = 0;
+  /// Hand one staged frame to a worker, which answers exactly once
+  /// through Reactor::postFinish (an empty reply when it failed).
+  virtual void stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
+                          protocol::Frame frame) = 0;
+  /// Answer any other frame (the reactor answers Hello and Ping).
+  virtual Reply controlReply(protocol::MessageType type,
+                             std::span<const std::uint8_t> payload) = 0;
+
+ protected:
+  ~ReactorService() = default;
+};
 
 class Reactor {
  public:
+  /// Constant per service: Hello's version cap and feature bits, and the
+  /// metric root (`<root>.reactor.*`, `<root>.v2_connections`).
+  struct Profile {
+    std::uint32_t max_version = protocol::kVersion;
+    std::uint32_t features = 0;
+    std::string_view metrics_root;
+  };
   struct Options {
     /// Staged calls in flight (dispatched, reply not yet queued) before
     /// the reactor stops reading from connections.
     std::size_t max_inflight = 256;
-    /// Pause on fd exhaustion before accepting again; shared with the
-    /// blocking TcpListener::accept() so both shed load at the same rate.
-    double accept_backoff_seconds = transport::kAcceptBackoffSeconds;
   };
 
   /// Spawns the reactor thread with no connections.  The reactor serves
-  /// connections by calling back into `server` (frame dispatch, staged
-  /// pipeline) on the reactor thread.
-  Reactor(NinfServer& server, Options options);
+  /// connections by calling back into `service` on the reactor thread;
+  /// the service must outlive the reactor's stop().
+  Reactor(ReactorService& service, Profile profile, Options options);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   /// Accept connections from `listener`.  At most one listener per
-  /// reactor, which NinfServer::start() enforces.  Throws TransportError
+  /// reactor, which its service enforces.  Throws TransportError
   /// when the listener has no native handle.  Thread-safe.
   void start(std::shared_ptr<transport::Listener> listener);
 
@@ -99,6 +135,8 @@ class Reactor {
   /// write per burst).  Dropped silently after stop() — a worker
   /// finishing during shutdown has nowhere to send its reply anyway.
   void postSolo(std::function<void()> fn);
+  /// finishStagedCall from any thread, through postSolo.
+  void postFinish(std::uint64_t conn_id, common::PooledBuffer reply);
 
   // ---- reactor-thread-only API (solo tasks, frame handlers) ---------
 
@@ -110,9 +148,9 @@ class Reactor {
   /// bookkeeping.
   void queueReply(std::uint64_t conn_id, common::PooledBuffer frame);
 
-  /// Complete one staged call on `conn_id`: queue `reply` (empty = no
-  /// reply, the call was aborted), release its admission slot, lift the
-  /// v1 lock-step hold, and resume paused reads if the budget allows.
+  /// Complete one staged call on `conn_id`: queue `reply` (empty = the
+  /// handler failed: close the connection), release its admission slot,
+  /// lift the v1 lock-step hold, and resume paused reads if allowed.
   void finishStagedCall(std::uint64_t conn_id, common::PooledBuffer reply);
 
   /// True while `conn_id` can still receive replies (known and not
@@ -183,9 +221,24 @@ class Reactor {
   void destroyConn(std::uint64_t conn_id);
   void killConn(Conn& conn);  // write/read failure: close + drop queues
   void drainSolo() NINF_REACTOR_CONTEXT;
-  void updateFdGauge() const;
 
-  NinfServer& server_;
+  /// The reactor's instruments, named under the service's metric root.
+  struct Metrics {
+    explicit Metrics(const std::string& root);
+    obs::Counter& wakeups;
+    obs::Counter& v2_connections;
+    obs::Counter& flushes;
+    obs::Counter& frames;
+    obs::Histogram& frames_per_writev;
+    obs::Gauge& solo_depth;
+    obs::Gauge& epilogue_depth;
+    obs::Gauge& peak_frame_bytes;
+    obs::Gauge& fds;
+  };
+
+  ReactorService& service_;
+  const Profile profile_;
+  const Metrics metrics_;
   const Options options_;
   std::shared_ptr<transport::Listener> listener_;  // null until listen()
 
@@ -206,7 +259,7 @@ class Reactor {
   /// Total staged calls in flight across live connections (admission).
   std::size_t staged_total_ = 0;
   /// Marshalled reply buffers queued but not fully written (epilogue
-  /// backlog, mirrored in server.reactor.stage_depth.epilogue).
+  /// backlog, mirrored in <root>.reactor.stage_depth.epilogue).
   std::size_t epilogue_depth_ = 0;
 
   /// Hand-off queue from workers to the solo stage.  Leaf lock: nothing

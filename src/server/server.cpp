@@ -13,7 +13,6 @@
 namespace ninf::server {
 
 using protocol::CallTimings;
-using protocol::Message;
 using protocol::MessageType;
 
 NinfServer::NinfServer(Registry& registry, ServerOptions options)
@@ -31,7 +30,12 @@ NinfServer::NinfServer(Registry& registry, ServerOptions options)
   ropts.max_inflight = options_.max_inflight_calls > 0
                            ? options_.max_inflight_calls
                            : std::max<std::size_t>(64, options_.workers * 16);
-  reactor_ = std::make_unique<Reactor>(*this, ropts);
+  // v2 with the trace extension; metrics under server.reactor.*.
+  reactor_ = std::make_unique<Reactor>(
+      static_cast<ReactorService&>(*this),
+      Reactor::Profile{protocol::kMaxVersion, protocol::kFeatureTraceContext,
+                       "server"},
+      ropts);
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
@@ -44,7 +48,6 @@ NinfServer::NinfServer(Registry& registry, ServerOptions options)
 NinfServer::~NinfServer() { stop(); }
 
 void NinfServer::start(std::shared_ptr<transport::Listener> listener) {
-  NINF_REQUIRE(listener != nullptr, "null listener");
   NINF_REQUIRE(!listener_, "server already started");
   reactor_->start(listener);
   listener_ = std::move(listener);
@@ -129,10 +132,11 @@ void NinfServer::updatePendingGauge(std::size_t count) {
       .set(static_cast<double>(count));
 }
 
-NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
-  switch (msg.type) {
+NinfServer::Reply NinfServer::controlReply(
+    MessageType type, std::span<const std::uint8_t> payload) {
+  switch (type) {
     case MessageType::QueryInterface: {
-      xdr::Decoder dec(msg.payload);
+      xdr::Decoder dec(payload);
       const std::string name = dec.getString();
       xdr::Encoder enc;
       if (registry_.contains(name)) {
@@ -141,10 +145,10 @@ NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
       } else {
         enc.putBool(false);
       }
-      return {MessageType::InterfaceReply, {std::move(enc), nullptr}};
+      return {MessageType::InterfaceReply, std::move(enc), nullptr};
     }
     case MessageType::FetchResult: {
-      xdr::Decoder dec(msg.payload);
+      xdr::Decoder dec(payload);
       const std::uint64_t id = dec.getU64();
       UniqueLock lock(pending_mutex_);
       auto it = pending_.find(id);
@@ -153,25 +157,26 @@ NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
         xdr::Encoder err;
         err.putRaw(protocol::encodeErrorReply("unknown job id " +
                                               std::to_string(id)));
-        return {MessageType::CallReply, {std::move(err), nullptr}};
+        return {MessageType::CallReply, std::move(err), nullptr};
       }
       if (!it->second.ready) {
         lock.unlock();
-        return {MessageType::ResultPending, {xdr::Encoder{}, nullptr}};
+        return {MessageType::ResultPending, xdr::Encoder{}, nullptr};
       }
       ReplyPayload reply = std::move(it->second.reply);
       pending_.erase(it);
       const std::size_t count = pending_.size();
       lock.unlock();
       updatePendingGauge(count);
-      return {MessageType::CallReply, std::move(reply)};
+      return {MessageType::CallReply, std::move(reply.body),
+              std::move(reply.keepalive)};
     }
     case MessageType::ListExecutables: {
       xdr::Encoder enc;
       const auto names = registry_.names();
       enc.putU32(static_cast<std::uint32_t>(names.size()));
       for (const auto& n : names) enc.putString(n);
-      return {MessageType::ExecutableList, {std::move(enc), nullptr}};
+      return {MessageType::ExecutableList, std::move(enc), nullptr};
     }
     case MessageType::ServerStatus: {
       // One consistent snapshot: a poll racing a job transition must not
@@ -184,16 +189,11 @@ NinfServer::ReplyEnvelope NinfServer::controlReply(const Message& msg) {
       info.load_average = snap.load_average;
       xdr::Encoder enc;
       enc.putRaw(info.toBytes());
-      return {MessageType::StatusReply, {std::move(enc), nullptr}};
-    }
-    case MessageType::Ping: {
-      xdr::Encoder enc;
-      enc.putRaw(msg.payload);
-      return {MessageType::Pong, {std::move(enc), nullptr}};
+      return {MessageType::StatusReply, std::move(enc), nullptr};
     }
     default:
       throw ProtocolError("unexpected message type " +
-                          std::to_string(static_cast<unsigned>(msg.type)));
+                          std::to_string(static_cast<unsigned>(type)));
   }
 }
 
@@ -223,6 +223,13 @@ NinfServer::ReplyPayload errorReply(const std::string& message) {
   enc.putU32(1);  // status: error
   enc.putString(message);
   return {std::move(enc), nullptr, /*ok=*/false};
+}
+
+/// Frames dispatched but not yet through admission; moved on the
+/// reactor thread only.
+void addPrologueDepth(double delta) {
+  static obs::Gauge& g = obs::gauge("server.reactor.stage_depth.prologue");
+  g.set(std::max(0.0, g.value() + delta));
 }
 
 /// Alloc-free peek at the entry name leading a CallRequest body (XDR
@@ -314,7 +321,7 @@ NinfServer::ReplyPayload runPreparedCall(ServerMetrics& metrics,
 // Staged pipeline behind the epoll reactor (see reactor.h).  A complete
 // call frame flows:
 //
-//   dispatch (reactor)  -> reactorStageCall: queue a prologue job
+//   dispatch (reactor)  -> stageFrame: queue a prologue job
 //   prologue (worker)   -> reactorPrologue: unmarshal args, stateless
 //   solo     (reactor)  -> admission: job-queue entry, pending table,
 //                          SubmitAck emission — all the shared state
@@ -326,9 +333,9 @@ NinfServer::ReplyPayload runPreparedCall(ServerMetrics& metrics,
 // on the reactor thread, so the stages themselves need no locks beyond
 // the ones they already take (queue, pending table).
 
-void NinfServer::reactorStageCall(std::uint64_t conn_id,
-                                  protocol::WireMode mode,
-                                  protocol::Frame frame) {
+void NinfServer::stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
+                            protocol::Frame frame) {
+  addPrologueDepth(1.0);
   Job job;
   job.id = next_job_id_.fetch_add(1);
   // Decode cost is negligible next to compute; zero flops lets SJF run
@@ -372,11 +379,7 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
       if (lookup.role != ResultCache::Role::Owner) {
         // Prologue over for this frame; rebalance the stage gauge on its
         // owning thread.
-        reactor_->postSolo([] {
-          static obs::Gauge& prologue_depth =
-              obs::gauge("server.reactor.stage_depth.prologue");
-          prologue_depth.set(std::max(0.0, prologue_depth.value() - 1.0));
-        });
+        reactor_->postSolo([] { addPrologueDepth(-1.0); });
         if (lookup.role == ResultCache::Role::Hit) {
           sendCachedReply(conn_id, mode, header, std::move(lookup.payload));
         }
@@ -405,9 +408,7 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
   reactor_->postSolo([this, conn_id, mode, header, is_submit, call,
                       cache_owner, digest,
                       error = std::move(error)]() mutable {
-    static obs::Gauge& prologue_depth =
-        obs::gauge("server.reactor.stage_depth.prologue");
-    prologue_depth.set(std::max(0.0, prologue_depth.value() - 1.0));
+    addPrologueDepth(-1.0);
 
     if (is_submit) {
       // Two-phase: the job detaches from the connection — it runs (or
@@ -500,12 +501,7 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
         }
         span.setBytes(static_cast<std::int64_t>(wire.size()));
       }
-      // postSolo takes a copyable std::function; hand the move-only
-      // slab across via shared_ptr.
-      auto w = std::make_shared<common::PooledBuffer>(std::move(wire));
-      reactor_->postSolo([this, conn_id, w]() {
-        reactor_->finishStagedCall(conn_id, std::move(*w));
-      });
+      reactor_->postFinish(conn_id, std::move(wire));
     };
     queue_.push(std::move(job));
   });
@@ -527,10 +523,7 @@ void NinfServer::sendCachedReply(std::uint64_t conn_id,
         mode, MessageType::CallReply, header.call_id, header.trace,
         errorReply("idempotent call aborted before completion").body);
   }
-  auto w = std::make_shared<common::PooledBuffer>(std::move(wire));
-  reactor_->postSolo([this, conn_id, w]() {
-    reactor_->finishStagedCall(conn_id, std::move(*w));
-  });
+  reactor_->postFinish(conn_id, std::move(wire));
 }
 
 }  // namespace ninf::server

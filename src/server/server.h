@@ -36,13 +36,12 @@
 #include "protocol/message.h"
 #include "server/job_queue.h"
 #include "server/metrics.h"
+#include "server/reactor.h"
 #include "server/registry.h"
 #include "server/result_cache.h"
 #include "transport/transport.h"
 
 namespace ninf::server {
-
-class Reactor;
 
 struct ServerOptions {
   /// Execution threads draining the job queue (see header comment).
@@ -68,7 +67,7 @@ struct ServerOptions {
   double cache_ttl_seconds = 300.0;
 };
 
-class NinfServer {
+class NinfServer final : private ReactorService {
  public:
   NinfServer(Registry& registry, ServerOptions options = {});
   ~NinfServer();
@@ -106,24 +105,20 @@ class NinfServer {
     bool ok = true;
   };
 
-  /// A typed reply ready to send on whichever framing the connection
-  /// negotiated.
-  struct ReplyEnvelope {
-    protocol::MessageType type{};
-    ReplyPayload payload;
-  };
-
  private:
-  friend class Reactor;
-
   void workerLoop();
   void sweeperLoop();
 
+  bool staged(protocol::MessageType type) const override
+      NINF_REACTOR_CONTEXT {
+    return type == protocol::MessageType::CallRequest ||
+           type == protocol::MessageType::SubmitRequest;
+  }
   /// Reactor staged pipeline, stage 1 of 3 (reactor thread): hand a
   /// complete CallRequest/SubmitRequest frame from `conn_id` to the
   /// worker pool for stateless argument unmarshalling (prologue).
-  void reactorStageCall(std::uint64_t conn_id, protocol::WireMode mode,
-                        protocol::Frame frame);
+  void stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
+                  protocol::Frame frame) override NINF_REACTOR_CONTEXT;
   /// Stage 2 runs back on the reactor thread via postSolo (admission:
   /// job-queue entry, pending-result bookkeeping); stage 3 (compute +
   /// reply marshalling, the epilogue) fans out across the workers again.
@@ -133,7 +128,9 @@ class NinfServer {
 
   /// Compute the reply to a small control message (everything but
   /// CallRequest/SubmitRequest), framing-agnostic.
-  ReplyEnvelope controlReply(const protocol::Message& msg);
+  Reply controlReply(protocol::MessageType type,
+                     std::span<const std::uint8_t> payload) override
+      NINF_REACTOR_CONTEXT;
 
   /// Emit a cached (or owner-aborted) idempotent reply for a
   /// reactor-staged call: wraps the shared payload in this caller's own

@@ -1,10 +1,9 @@
 // Shared listener tuning knobs.
 //
-// These constants used to live as magic numbers in two places — the
-// TcpListener accept loop (a hardcoded 50 ms fd-exhaustion sleep) and
-// the reactor's Options default (an unrelated 0.05) — which drifted
-// apart would silently give the threaded and event-driven accept paths
-// different recovery behavior.  One definition here keeps them honest.
+// One definition for the two accept paths, so they cannot drift apart:
+// the reactor's tryAccept(), which every NinfServer and metaserver node
+// accepts on, and the blocking TcpListener::accept(), which has test
+// callers only.
 #pragma once
 
 #include <sys/socket.h>
@@ -20,14 +19,14 @@ inline constexpr int kListenBacklogDefault = SOMAXCONN;
 
 /// Pause after descriptor/buffer exhaustion (EMFILE/ENFILE/ENOBUFS/
 /// ENOMEM) before trying to accept again, seconds.  Used by both the
-/// blocking accept loop and the reactor's re-arm timer so the two
-/// accept paths shed load at the same rate; the pending connection
-/// stays in the kernel backlog meanwhile.
+/// blocking accept() (test callers only) and the reactor's re-arm timer
+/// so the two accept paths shed load at the same rate; the pending
+/// connection stays in the kernel backlog meanwhile.
 inline constexpr double kAcceptBackoffSeconds = 0.05;
 
-/// Poll timeout of the blocking accept() path when the socket has been
-/// switched to non-blocking by a concurrent tryAccept() caller,
-/// milliseconds: park on readiness, then re-check for close().
+/// Poll timeout of the blocking accept() path (test callers only) when
+/// the socket has been switched to non-blocking by a tryAccept()
+/// caller, milliseconds: park on readiness, then re-check for close().
 inline constexpr int kAcceptPollMs = 1000;
 
 }  // namespace ninf::transport

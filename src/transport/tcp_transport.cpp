@@ -512,9 +512,9 @@ std::unique_ptr<Stream> TcpListener::tryAccept(AcceptStatus& status) {
     status = AcceptStatus::Closed;
     return nullptr;
   }
-  // First use switches the listening socket to non-blocking; harmless
-  // for a subsequent blocking accept() (it handles EAGAIN via poll-free
-  // retry only in the reactor, which never mixes the two).
+  // First use switches the listening socket to non-blocking for good; the
+  // reactor is the only caller.  accept() (test callers only) then parks
+  // on poll() when it finds the socket switched (kAcceptPollMs).
   if (!nonblocking_.exchange(true)) {
     const int flags = ::fcntl(listen_fd, F_GETFL, 0);
     if (flags >= 0) ::fcntl(listen_fd, F_SETFL, flags | O_NONBLOCK);

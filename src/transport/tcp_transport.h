@@ -33,6 +33,7 @@ class TcpListener : public Listener {
   /// The actually bound port (useful with port 0).
   std::uint16_t port() const { return port_; }
 
+  /// Test callers only: every server and node accepts via tryAccept().
   std::unique_ptr<Stream> accept() override;
   void close() override;
 

@@ -1,10 +1,13 @@
-// Event-driven server core: the epoll reactor and its staged pipeline.
+// Event-driven serving core: the epoll reactor and its staged pipeline.
 //
 // What thread-per-connection could never show: thousands of parked
 // connections with a flat thread count, slow-loris peers that dribble a
 // frame one byte at a time without stalling anyone, and mid-body
 // disconnects that clean up instead of leaking a blocked reader thread.
-// Also the lifecycle of streams handed to the reactor with adopt().
+// Also the lifecycle of streams handed to the reactor with adopt(), and
+// the metaserver node served by the same reactor: its Hello profile,
+// reply order across the inline and staged paths, and bad frames that
+// cost only their own connection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include "client/client.h"
 #include "client/ninf_api.h"
 #include "common/error.h"
+#include "metaserver/node.h"
 #include "numlib/ep.h"
 #include "obs/metrics.h"
 #include "protocol/message.h"
@@ -33,6 +37,7 @@ namespace {
 
 using client::NinfClient;
 using client::ninfCall;
+using protocol::MessageType;
 using server::NinfServer;
 using server::Registry;
 
@@ -374,6 +379,194 @@ TEST(ReactorAdopt, RejectsStreamsAndListenersWithoutNativeHandle) {
   EXPECT_GE(client->ping(), 0.0);
   client->close();
   server.stop();
+}
+
+// ------------------------------------------------- metaserver node
+
+double nodeFds() { return obs::gauge("metaserver.reactor.fds").value(); }
+
+/// One unreplicated single-shard primary node, spoken to over raw v1
+/// sockets.
+class NodeReactorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    listener_ = std::make_shared<transport::TcpListener>(0);
+    port_ = listener_->port();
+    protocol::ShardInfo shard;
+    shard.id = 0;
+    shard.epoch = 1;
+    shard.primary_endpoint = "127.0.0.1:" + std::to_string(port_);
+    metaserver::NodeOptions opts;
+    opts.self_endpoint = shard.primary_endpoint;
+    opts.ring.shards.push_back(shard);
+    node_ = std::make_unique<metaserver::MetaserverNode>(std::move(opts));
+    node_->serve(listener_);
+  }
+
+  void TearDown() override { node_->stop(); }
+
+  /// A raw connection; every send and receive gets a 5 s deadline, so a
+  /// reply that never comes fails the test instead of hanging it.
+  std::unique_ptr<transport::Stream> dial() const {
+    auto stream = transport::tcpConnect("127.0.0.1", port_);
+    stream->setDeadlineIn(5.0);
+    return stream;
+  }
+
+  static void sendRingQuery(transport::Stream& stream) {
+    xdr::Encoder enc;
+    enc.putU64(0);  // known ring epoch
+    protocol::sendMessage(stream, MessageType::RingQuery, enc);
+  }
+
+  /// Round-trip one RingQuery: the node is serving this connection.
+  static void expectRingInfo(transport::Stream& stream) {
+    sendRingQuery(stream);
+    const protocol::Message reply = protocol::recvMessage(stream);
+    ASSERT_EQ(reply.type, MessageType::RingInfo);
+    xdr::Decoder dec(reply.payload);
+    EXPECT_EQ(protocol::RingDescriptor::decode(dec).shards.size(), 1u);
+  }
+
+  /// True when the node closed `stream` (EOF), false when a reply came
+  /// or the deadline ran out.
+  static bool closedByNode(transport::Stream& stream) {
+    try {
+      protocol::recvMessage(stream);
+      return false;
+    } catch (const TimeoutError&) {
+      return false;
+    } catch (const TransportError&) {
+      return true;
+    }
+  }
+
+  std::shared_ptr<transport::TcpListener> listener_;
+  std::uint16_t port_ = 0;
+  std::unique_ptr<metaserver::MetaserverNode> node_;
+};
+
+TEST_F(NodeReactorTest, IdleConnectionsParkWithoutThreads) {
+  constexpr int kIdle = 64;
+  auto probe = dial();
+  expectRingInfo(*probe);
+
+  const int before = processThreadCount();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<transport::Stream>> idle;
+  idle.reserve(kIdle);
+  for (int i = 0; i < kIdle; ++i) {
+    idle.push_back(transport::tcpConnect("127.0.0.1", port_));
+  }
+  EXPECT_TRUE(waitFor([&] { return nodeFds() >= kIdle + 1; }))
+      << "fds gauge " << nodeFds();
+  // A thread per connection would sit at before + kIdle here.
+  EXPECT_LE(processThreadCount(), before)
+      << "node spawned threads per connection";
+  expectRingInfo(*probe);
+}
+
+TEST_F(NodeReactorTest, CountsUnderItsOwnMetricRoot) {
+  // ninf-bench derives the compute server's writev figures from
+  // server.reactor.*; control-plane traffic must not leak into them.
+  const std::uint64_t server_flushes =
+      obs::counter("server.reactor.batch.flushes").value();
+  const std::uint64_t node_flushes =
+      obs::counter("metaserver.reactor.batch.flushes").value();
+  auto stream = dial();
+  expectRingInfo(*stream);
+  EXPECT_GT(obs::counter("metaserver.reactor.batch.flushes").value(),
+            node_flushes);
+  EXPECT_EQ(obs::counter("server.reactor.batch.flushes").value(),
+            server_flushes);
+}
+
+TEST_F(NodeReactorTest, HelloAgreesOnV1AndEchoesOnlySharding) {
+  auto stream = dial();
+  xdr::Encoder hello;
+  hello.putU32(protocol::kVersion2);
+  hello.putU32(protocol::kFeatureTraceContext | protocol::kFeatureSharding);
+  protocol::sendMessage(*stream, MessageType::Hello, hello);
+  const protocol::Message ack = protocol::recvMessage(*stream);
+  ASSERT_EQ(ack.type, MessageType::HelloAck);
+  xdr::Decoder dec(ack.payload);
+  EXPECT_EQ(dec.getU32(), protocol::kVersion);
+  EXPECT_EQ(dec.getU32(), protocol::kFeatureSharding);
+  // The connection stays on v1 framing.
+  expectRingInfo(*stream);
+}
+
+TEST_F(NodeReactorTest, PipelinedRepliesKeepRequestOrder) {
+  // RingQuery and Ping are answered inline; ScheduleQuery takes the
+  // worker hop, and the v1 hold keeps the Ping behind it waiting.
+  auto stream = dial();
+  const std::vector<std::uint8_t> first = {1, 2, 3, 4};
+  const std::vector<std::uint8_t> second = {5, 6, 7, 8};
+  sendRingQuery(*stream);
+  protocol::sendMessage(*stream, MessageType::Ping, first);
+  xdr::Encoder query;
+  protocol::ScheduleRequest{.entry = "ep", .excluded = {}}.encode(query);
+  protocol::sendMessage(*stream, MessageType::ScheduleQuery, query);
+  protocol::sendMessage(*stream, MessageType::Ping, second);
+
+  EXPECT_EQ(protocol::recvMessage(*stream).type, MessageType::RingInfo);
+  const protocol::Message pong1 = protocol::recvMessage(*stream);
+  EXPECT_EQ(pong1.type, MessageType::Pong);
+  EXPECT_EQ(pong1.payload, first);
+  const protocol::Message choice = protocol::recvMessage(*stream);
+  ASSERT_EQ(choice.type, MessageType::ScheduleReply);
+  xdr::Decoder dec(choice.payload);
+  EXPECT_TRUE(protocol::ScheduleChoice::decode(dec).server_name.empty())
+      << "no server is registered";
+  const protocol::Message pong2 = protocol::recvMessage(*stream);
+  EXPECT_EQ(pong2.type, MessageType::Pong);
+  EXPECT_EQ(pong2.payload, second);
+}
+
+TEST_F(NodeReactorTest, UnknownMessageTypeClosesOnlyThatConnection) {
+  auto bystander = dial();
+  expectRingInfo(*bystander);
+  auto bad = dial();
+  // A compute-server request the control plane does not implement.
+  protocol::sendMessage(*bad, MessageType::ListExecutables,
+                        std::span<const std::uint8_t>{});
+  EXPECT_TRUE(closedByNode(*bad));
+  expectRingInfo(*bystander);
+  auto fresh = dial();
+  expectRingInfo(*fresh);
+}
+
+TEST_F(NodeReactorTest, RegistrationWithoutEndpointClosesOnlyThatConnection) {
+  // The directory rejects the op with a failed precondition
+  // (std::logic_error, not a ninf::Error); it must not escape the
+  // reactor thread.
+  auto bad = dial();
+  protocol::RegistryOp op;
+  op.desc.name = "nameless";
+  op.reg_epoch = 1;
+  xdr::Encoder enc;
+  op.encode(enc);
+  protocol::sendMessage(*bad, MessageType::RegisterServer, enc);
+  EXPECT_TRUE(closedByNode(*bad));
+  auto second = dial();
+  expectRingInfo(*second);
+  EXPECT_EQ(node_->directory().serverCount(), 0u);
+}
+
+TEST_F(NodeReactorTest, FailedScheduleQueryClosesOnlyThatConnection) {
+  // An undecodable ScheduleQuery throws on a pool worker: the reactor
+  // still gets the slot and the v1 hold back, and closes the connection
+  // instead of leaving its peer waiting.
+  auto bad = dial();
+  protocol::sendMessage(*bad, MessageType::ScheduleQuery,
+                        std::span<const std::uint8_t>{});
+  EXPECT_TRUE(closedByNode(*bad));
+
+  auto good = dial();
+  xdr::Encoder query;
+  protocol::ScheduleRequest{.entry = "ep", .excluded = {}}.encode(query);
+  protocol::sendMessage(*good, MessageType::ScheduleQuery, query);
+  EXPECT_EQ(protocol::recvMessage(*good).type, MessageType::ScheduleReply);
 }
 
 }  // namespace

@@ -156,6 +156,10 @@ class Parser {
     // clause / body; attribute macros with arguments are skipped.
     while (i < end) {
       const Token& t = tok(i);
+      if (t.is("final")) {  // virt-specifier, not the name
+        ++i;
+        continue;
+      }
       if (t.isIdent()) {
         name = t.text;
         ++i;
@@ -577,6 +581,7 @@ std::string pathStem(const std::string& path) {
 const FunctionModel* Project::findQualified(const std::string& cls,
                                             const std::string& fn) const {
   const std::string suffix = cls + "::" + fn;
+  const FunctionModel* decl = nullptr;
   for (auto [it, last] = by_name.equal_range(fn); it != last; ++it) {
     const FunctionModel* f = all_functions[it->second];
     if (f->qname.size() < suffix.size()) continue;
@@ -587,9 +592,13 @@ const FunctionModel* Project::findQualified(const std::string& cls,
     // Component-aligned only: "Sink::flush" must not match
     // "StreamSink::flush".
     const std::size_t at = f->qname.size() - suffix.size();
-    if (at == 0 || f->qname[at - 1] == ':') return f;
+    if (at != 0 && f->qname[at - 1] != ':') continue;
+    // Prefer the definition: a call graph walk stops at a bodiless
+    // declaration, whichever of the two was parsed first.
+    if (f->has_body) return f;
+    if (decl == nullptr) decl = f;
   }
-  return nullptr;
+  return decl;
 }
 
 std::string Project::typeOf(const std::string& var) const {

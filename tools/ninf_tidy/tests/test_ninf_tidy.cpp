@@ -62,6 +62,15 @@ TEST(ReactorBlocking, FlagsBlockingReachableFromReactorContext) {
   for (const auto& d : diags) EXPECT_EQ(d.check, "reactor-blocking");
 }
 
+TEST(ReactorBlocking, FlagsAnnotatedOverrideBehindServiceInterface) {
+  const auto diags =
+      run("reactor_blocking_interface_pos.cpp", "reactor-blocking");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(countMessages(diags, "NINF_BLOCKING API 'pollServer'"), 1);
+  EXPECT_EQ(countMessages(diags, "Node::handleFrame -> Node::helper"), 1)
+      << diags.front().message;
+}
+
 TEST(ReactorBlocking, CleanOnDisciplinedReactorCode) {
   const auto diags = run("reactor_blocking_neg.cpp", "reactor-blocking");
   EXPECT_TRUE(diags.empty()) << diags.front().message;
