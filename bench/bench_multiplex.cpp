@@ -1,12 +1,11 @@
 // Session-layer throughput: the same ping workload pushed through
-// (a) one fresh TCP connection per call — the historical client,
-// (b) one shared call-ID multiplexed connection, and
-// (c, --pool) a ConnectionPool leasing warm connections per call.
+// (a) one fresh TCP connection per call — the historical client, and
+// (b) one shared call-ID multiplexed connection.
 //
-// Reports aggregate MB/s over the echoed payload; the multiplexed and
-// pooled modes should beat connection-per-call by roughly the connect +
-// negotiation cost amortized across calls, most visibly at small
-// payloads and high thread counts.
+// Reports aggregate MB/s over the echoed payload; the multiplexed mode
+// should beat connection-per-call by roughly the connect + negotiation
+// cost amortized across calls, most visibly at small payloads and high
+// thread counts.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -20,7 +19,6 @@
 
 #include "bench_json.h"
 #include "client/client.h"
-#include "client/connection_pool.h"
 #include "common/batch.h"
 #include "common/error.h"
 #include "common/table.h"
@@ -39,7 +37,6 @@ struct Config {
   std::size_t threads = 4;        // concurrent callers
   std::size_t payload = 1 << 20;  // ping payload bytes per call
   std::size_t workers = 4;        // server execution threads
-  bool pool = false;              // also run the pooled mode
   bool compare_batching = false;  // hot-path mode (see below)
   std::string json_path;          // --json output (empty = none)
 };
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
     else if (arg == "--threads") cfg.threads = value();
     else if (arg == "--payload") { cfg.payload = value(); payload_set = true; }
     else if (arg == "--workers") cfg.workers = value();
-    else if (arg == "--pool") cfg.pool = true;
     else if (arg == "--compare-batching") cfg.compare_batching = true;
     else if (arg == "--json") {
       if (i + 1 >= argc) {
@@ -138,7 +134,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--calls N] [--threads T] [--payload BYTES] "
-                   "[--workers W] [--pool] [--compare-batching] "
+                   "[--workers W] [--compare-batching] "
                    "[--json PATH]\n",
                    argv[0]);
       return 2;
@@ -371,18 +367,9 @@ int main(int argc, char** argv) {
            }));
   }
 
-  if (cfg.pool) {
-    client::ConnectionPool pool(
-        client::PoolOptions{.max_idle_per_endpoint = cfg.threads});
-    report("pooled", timedRun(cfg, [&](std::size_t) {
-             auto lease = pool.acquire("bench", factory);
-             lease->ping(cfg.payload);
-           }));
-  }
-
   std::printf("%s\n", table.str().c_str());
   std::printf(
-      "Expected shape: multiplexed/pooled beat conn-per-call by the\n"
+      "Expected shape: multiplexed beats conn-per-call by the\n"
       "amortized connect+negotiation cost; the gap widens with --threads\n"
       "and shrinks as --payload grows (wire time dominates).\n");
   if (!cfg.json_path.empty()) {

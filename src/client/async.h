@@ -1,7 +1,8 @@
 // Ninf_call_async (paper, section 2.2): fire a call and collect the
-// result later through a std::future.  Each in-flight call occupies its
-// own connection, mirroring the TCP-based Ninf RPC where a connection is
-// busy for a call's duration (section 5.1).
+// result later through a std::future.  Each in-flight call runs on its
+// own thread; the dispatcher decides the wire — DirectDispatcher and the
+// metaservers multiplex concurrent calls over one shared v2 connection
+// per server.
 #pragma once
 
 #include <future>

@@ -149,9 +149,8 @@ class NinfClient {
       NINF_BLOCKING;
 
   /// Round-trip an opaque payload; returns elapsed seconds.
-  /// timeout_seconds > 0 bounds the round-trip (TimeoutError on expiry)
-  /// — the connection pool's pre-reuse health check relies on this so a
-  /// stalled-but-open pooled peer cannot wedge acquire().
+  /// timeout_seconds > 0 bounds the round-trip (TimeoutError on expiry),
+  /// so probing a stalled-but-open peer cannot wedge the caller.
   double ping(std::size_t payload_bytes = 0, double timeout_seconds = 0.0)
       NINF_BLOCKING;
 

@@ -1,211 +1,46 @@
 #include "client/connection_pool.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "obs/metrics.h"
 
 namespace ninf::client {
 
-namespace {
-
-double nowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+std::shared_ptr<NinfClient> ConnectionPool::live(const Slot& slot) {
+  LockGuard lock(mutex_);
+  if (slot.client && !slot.client->channel().broken()) return slot.client;
+  return nullptr;
 }
 
-/// Process-wide totals behind the pool gauges (obs::Gauge has no add();
-/// several pools may coexist in one process, e.g. the inproc tests).
-std::atomic<long> g_idle{0};
-std::atomic<long> g_in_use{0};
-
-void bumpIdle(long delta) {
-  static obs::Gauge& gauge = obs::gauge("pool.idle");
-  gauge.set(static_cast<double>(g_idle.fetch_add(delta) + delta));
-}
-
-void bumpInUse(long delta) {
-  static obs::Gauge& gauge = obs::gauge("pool.in_use");
-  gauge.set(static_cast<double>(g_in_use.fetch_add(delta) + delta));
-}
-
-}  // namespace
-
-ConnectionPool::Lease& ConnectionPool::Lease::operator=(
-    Lease&& other) noexcept {
-  if (this != &other) {
-    if (pool_) pool_->release(endpoint_, std::move(client_), generation_);
-    pool_ = other.pool_;
-    endpoint_ = std::move(other.endpoint_);
-    client_ = std::move(other.client_);
-    generation_ = other.generation_;
-    other.pool_ = nullptr;
-    other.client_.reset();
-  }
-  return *this;
-}
-
-ConnectionPool::Lease::~Lease() {
-  if (pool_) pool_->release(endpoint_, std::move(client_), generation_);
-}
-
-void ConnectionPool::Lease::discard() { client_.reset(); }
-
-ConnectionPool::ConnectionPool(PoolOptions options) : options_(options) {}
-
-ConnectionPool::~ConnectionPool() { clear(); }
-
-ConnectionPool::Lease ConnectionPool::acquire(const std::string& endpoint,
-                                              const Factory& factory,
-                                              std::uint64_t generation) {
+std::shared_ptr<NinfClient> ConnectionPool::acquire(const std::string& endpoint,
+                                                    const Factory& factory) {
   static obs::Counter& hits = obs::counter("pool.hits");
   static obs::Counter& misses = obs::counter("pool.misses");
-  static obs::Counter& ttl_evictions = obs::counter("pool.ttl_evictions");
-  static obs::Counter& dead_evictions = obs::counter("pool.dead_evictions");
-  static obs::Counter& generation_flushes =
-      obs::counter("pool.generation_flushes");
 
-  for (;;) {
-    std::unique_ptr<NinfClient> candidate;
-    double idle_since = 0.0;
-    std::vector<IdleEntry> expired;  // closed outside the lock
-    std::size_t flushed = 0;
-    const double now = nowSeconds();
-    long reclaimed = 0;
-    {
+  Slot* slot = nullptr;
+  {
+    LockGuard lock(mutex_);
+    slot = &slots_[endpoint];
+  }
+  // Declared before the dial lock so the broken client it replaces is
+  // destroyed with no pool lock held (closing joins its reader thread).
+  std::shared_ptr<NinfClient> replaced;
+  std::shared_ptr<NinfClient> client = live(*slot);
+  bool dialed = false;
+  if (!client) {
+    LockGuard dial(slot->dial);
+    client = live(*slot);  // a concurrent miss may have dialed meanwhile
+    if (!client) {
+      client = factory();  // network I/O: outside the pool lock
+      NINF_REQUIRE(client != nullptr, "pool factory returned no client");
+      dialed = true;
       LockGuard lock(mutex_);
-      auto it = idle_.find(endpoint);
-      if (it != idle_.end()) {
-        auto& entries = it->second;
-        // Oldest entries sit at the front (returns push_back): shed the
-        // ones past the idle TTL first.
-        while (!entries.empty() && options_.idle_ttl_seconds > 0 &&
-               now - entries.front().idle_since > options_.idle_ttl_seconds) {
-          expired.push_back(std::move(entries.front()));
-          entries.erase(entries.begin());
-        }
-        // Entries pooled under a different generation are stale routes
-        // (the topology changed under the endpoint): flush them all.
-        for (auto entry = entries.begin(); entry != entries.end();) {
-          if (entry->generation != generation) {
-            expired.push_back(std::move(*entry));
-            entry = entries.erase(entry);
-            ++flushed;
-          } else {
-            ++entry;
-          }
-        }
-        if (!entries.empty()) {
-          candidate = std::move(entries.back().client);
-          idle_since = entries.back().idle_since;
-          entries.pop_back();
-        }
-      }
-      reclaimed = static_cast<long>(expired.size() + (candidate ? 1 : 0));
-    }
-    // Gauge updates lock the obs registry on first touch; keep that out
-    // of the pool critical section.
-    if (reclaimed > 0) bumpIdle(-reclaimed);
-    if (flushed > 0) generation_flushes.add(flushed);
-    if (expired.size() > flushed) ttl_evictions.add(expired.size() - flushed);
-    expired.clear();
-
-    if (!candidate) break;  // pool dry for this endpoint
-
-    if (now - idle_since > options_.health_check_after_seconds) {
-      try {
-        // Bounded: acquire() runs inside callers' deadline envelopes
-        // (metaserver dispatch), so a stalled-but-open peer must cost at
-        // most the health-check timeout, then be evicted.
-        candidate->ping(0, std::max(options_.health_check_timeout_seconds,
-                                    0.001));
-      } catch (const Error& e) {
-        NINF_LOG(Debug) << "pooled connection to " << endpoint
-                        << " failed health check: " << e.what();
-        dead_evictions.add();
-        candidate.reset();
-        continue;  // try the next idle entry
-      }
-    }
-    hits.add();
-    {
-      LockGuard lock(mutex_);
-      ++in_use_;
-    }
-    bumpInUse(+1);
-    return Lease(this, endpoint, std::move(candidate), generation);
-  }
-
-  misses.add();
-  std::unique_ptr<NinfClient> fresh = factory();  // network I/O: no lock
-  NINF_REQUIRE(fresh != nullptr, "pool factory returned no client");
-  {
-    LockGuard lock(mutex_);
-    ++in_use_;
-  }
-  bumpInUse(+1);
-  return Lease(this, endpoint, std::move(fresh), generation);
-}
-
-void ConnectionPool::release(const std::string& endpoint,
-                             std::unique_ptr<NinfClient> client,
-                             std::uint64_t generation) {
-  std::unique_ptr<NinfClient> doomed;  // closed outside the lock
-  {
-    LockGuard lock(mutex_);
-    --in_use_;
-  }
-  bumpInUse(-1);
-  if (client && client->channel().broken()) {
-    static obs::Counter& dead = obs::counter("pool.dead_evictions");
-    dead.add();
-    client.reset();
-  }
-  if (!client) return;
-  bool pooled = false;
-  {
-    LockGuard lock(mutex_);
-    auto& entries = idle_[endpoint];
-    entries.push_back({std::move(client), nowSeconds(), generation});
-    if (entries.size() > options_.max_idle_per_endpoint) {
-      doomed = std::move(entries.front().client);
-      entries.erase(entries.begin());
-    } else {
-      pooled = true;
+      replaced = std::exchange(slot->client, client);
     }
   }
-  if (pooled) bumpIdle(+1);
-  if (doomed) {
-    static obs::Counter& overflow = obs::counter("pool.overflow_evictions");
-    overflow.add();
-  }
-}
-
-std::size_t ConnectionPool::idleCount() const {
-  LockGuard lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [endpoint, entries] : idle_) n += entries.size();
-  return n;
-}
-
-std::size_t ConnectionPool::inUseCount() const {
-  LockGuard lock(mutex_);
-  return in_use_;
-}
-
-void ConnectionPool::clear() {
-  std::map<std::string, std::vector<IdleEntry>> doomed;
-  {
-    LockGuard lock(mutex_);
-    doomed.swap(idle_);
-  }
-  std::size_t n = 0;
-  for (const auto& [endpoint, entries] : doomed) n += entries.size();
-  if (n > 0) bumpIdle(-static_cast<long>(n));
+  (dialed ? misses : hits).add();
+  return client;
 }
 
 }  // namespace ninf::client

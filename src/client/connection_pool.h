@@ -1,134 +1,58 @@
-// Endpoint-keyed pool of NinfClient connections.
+// One shared, multiplexed NinfClient per endpoint.
 //
-// The metaserver used to pay a fresh TCP connect (plus interface query)
-// for every dispatch.  The pool keeps finished connections warm instead:
-// acquire() hands out an idle connection to the endpoint when one exists
-// (LIFO, so the hottest connection — with its negotiated v2 channel and
-// interface cache — is reused first) and only falls back to the caller's
-// factory on a miss.
+// A v2 NinfClient carries concurrent calls by call id (channel.h), so
+// every caller to an endpoint shares one connection.  acquire() returns
+// the endpoint's live client and dials through the caller's factory only
+// on first use or after the client's channel broke.  A hit does no I/O;
+// per-call deadlines bound a stalled peer.
 //
-// Hygiene: idle connections are evicted after idle_ttl_seconds; an entry
-// that sat idle longer than health_check_after_seconds is pinged (with a
-// bounded deadline, so a stalled peer cannot wedge acquire) before reuse
-// and silently replaced if the peer is gone or unresponsive; a returned
-// connection whose channel is broken is dropped, never pooled.
+// Concurrent misses on one endpoint dial once: the first caller dials
+// while the others wait on that endpoint's dial lock and then share its
+// client.  The dial, and the destruction of the broken client it
+// replaces, both run outside the pool lock.
 //
-// Generations: acquire() optionally carries a caller-defined generation
-// number (the sharded metaserver passes its ring epoch).  An idle entry
-// only satisfies an acquire of the same generation; entries from any
-// other generation found under the endpoint are flushed on the spot.
-// This closes the stale-routing hole of endpoint-only keying: when the
-// ring changes (a backup was promoted), connections negotiated against
-// the old topology stop being handed out even though the endpoint
-// string is unchanged.
-//
-// Observability: pool.hits / pool.misses / pool.generation_flushes
-// counters and pool.idle / pool.in_use gauges (process-wide totals
-// across pools).
+// Observability: pool.hits / pool.misses counters (process-wide).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "client/client.h"
 #include "common/sync.h"
 
 namespace ninf::client {
 
-struct PoolOptions {
-  /// Idle connections kept per endpoint; extras are closed on return.
-  std::size_t max_idle_per_endpoint = 4;
-  /// Idle connections older than this are closed on the next acquire
-  /// (<= 0 keeps them forever).
-  double idle_ttl_seconds = 30.0;
-  /// An entry idle longer than this is pinged before being handed out
-  /// (<= 0 pings every reuse; set very large to never ping).
-  double health_check_after_seconds = 1.0;
-  /// Wall-clock bound on that health-check ping; an entry that cannot
-  /// answer in time is evicted.  Always enforced (values <= 0 are
-  /// clamped to a minimum): an unbounded ping would let one
-  /// stalled-but-open peer wedge acquire() — and any dispatch deadline
-  /// above it — indefinitely.
-  double health_check_timeout_seconds = 1.0;
-};
-
 class ConnectionPool {
  public:
   using Factory = std::function<std::unique_ptr<NinfClient>()>;
 
-  /// Exclusive loan of one pooled connection.  Returns the connection to
-  /// the pool on destruction — unless discard() was called (connection
-  /// suspect) or its channel is broken, in which case it is closed.
-  /// The pool must outlive every lease.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept { *this = std::move(other); }
-    Lease& operator=(Lease&& other) noexcept;
-    ~Lease();
-
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    NinfClient& operator*() const { return *client_; }
-    NinfClient* operator->() const { return client_.get(); }
-    explicit operator bool() const { return client_ != nullptr; }
-
-    /// Close the connection now instead of returning it to the pool.
-    void discard();
-
-   private:
-    friend class ConnectionPool;
-    Lease(ConnectionPool* pool, std::string endpoint,
-          std::unique_ptr<NinfClient> client, std::uint64_t generation)
-        : pool_(pool), endpoint_(std::move(endpoint)),
-          client_(std::move(client)), generation_(generation) {}
-
-    ConnectionPool* pool_ = nullptr;
-    std::string endpoint_;
-    std::unique_ptr<NinfClient> client_;
-    std::uint64_t generation_ = 0;
-  };
-
-  explicit ConnectionPool(PoolOptions options = {});
-  ~ConnectionPool();
-
+  ConnectionPool() = default;
   ConnectionPool(const ConnectionPool&) = delete;
   ConnectionPool& operator=(const ConnectionPool&) = delete;
 
-  /// Borrow a connection to `endpoint`, reusing an idle one when
-  /// possible and creating through `factory` otherwise.  The factory
-  /// runs outside the pool lock (it does network I/O).  `generation`
-  /// scopes reuse: only idle entries pooled under the same generation
-  /// qualify, and mismatched ones under the endpoint are flushed.
-  Lease acquire(const std::string& endpoint, const Factory& factory,
-                std::uint64_t generation = 0);
-
-  /// Idle connections across all endpoints / leases currently out.
-  std::size_t idleCount() const;
-  std::size_t inUseCount() const;
-
-  /// Close every idle connection (leases out stay valid).
-  void clear();
+  /// The shared client for `endpoint`, dialed through `factory` when
+  /// there is none yet or its channel is broken.  Throws whatever the
+  /// factory throws.  Thread-safe.
+  std::shared_ptr<NinfClient> acquire(const std::string& endpoint,
+                                      const Factory& factory);
 
  private:
-  struct IdleEntry {
-    std::unique_ptr<NinfClient> client;
-    double idle_since = 0.0;  // steady-clock seconds
-    std::uint64_t generation = 0;
+  struct Slot {
+    /// Serializes dials to this endpoint; taken before mutex_.
+    Mutex dial{"pool.dial"};
+    /// Guarded by the owning pool's mutex_ (inexpressible as an
+    /// annotation from a nested struct).
+    std::shared_ptr<NinfClient> client;
   };
 
-  void release(const std::string& endpoint,
-               std::unique_ptr<NinfClient> client, std::uint64_t generation);
+  /// The slot's client when its channel is healthy, else null.
+  std::shared_ptr<NinfClient> live(const Slot& slot);
 
-  mutable Mutex mutex_{"pool.mutex"};
-  std::map<std::string, std::vector<IdleEntry>> idle_ NINF_GUARDED_BY(mutex_);
-  std::size_t in_use_ NINF_GUARDED_BY(mutex_) = 0;
-  PoolOptions options_;  // immutable after construction
+  Mutex mutex_{"pool.mutex"};
+  /// Slots are never erased, so their addresses stay stable.
+  std::map<std::string, Slot> slots_ NINF_GUARDED_BY(mutex_);
 };
 
 }  // namespace ninf::client

@@ -1,6 +1,7 @@
 // Dispatch abstraction: where does a Ninf_call actually go?
 //
-// DirectDispatcher sends every call to one server; the metaserver module
+// DirectDispatcher sends every call to one server over one shared,
+// multiplexed connection (connection_pool.h); the metaserver module
 // provides a load-balancing implementation of the same interface
 // (section 2.4).  Transactions and async calls are written against the
 // interface so they work identically in both worlds.
@@ -12,11 +13,12 @@
 #include <string>
 
 #include "client/client.h"
+#include "client/connection_pool.h"
 
 namespace ninf::client {
 
-/// Creates a fresh connection to some server.  Must be thread-safe: async
-/// calls and transaction branches connect concurrently.
+/// Creates a fresh connection to some server.  Must be thread-safe:
+/// dispatchers dial from whichever caller first needs a connection.
 using ConnectionFactory = std::function<std::unique_ptr<NinfClient>()>;
 
 class CallDispatcher {
@@ -38,9 +40,9 @@ class CallDispatcher {
   }
 };
 
-/// Sends every call to the single server produced by the factory, one
-/// fresh connection per call: the factory is its only handle (a v2
-/// connection could multiplex them; pooling one is on the roadmap).
+/// Sends every call to the single server produced by the factory, over
+/// one shared connection: dialed on the first call, redialed when its
+/// channel breaks, and multiplexed across concurrent callers on v2.
 class DirectDispatcher : public CallDispatcher {
  public:
   explicit DirectDispatcher(ConnectionFactory factory)
@@ -48,19 +50,20 @@ class DirectDispatcher : public CallDispatcher {
 
   CallResult dispatch(const std::string& name,
                       std::span<const protocol::ArgValue> args) override {
-    auto client = factory_();
-    return client->call(name, args);
+    return client()->call(name, args);
   }
 
   CallResult dispatch(const std::string& name,
                       std::span<const protocol::ArgValue> args,
                       const CallOptions& opts) override {
-    auto client = factory_();
-    return client->call(name, args, opts);
+    return client()->call(name, args, opts);
   }
 
  private:
+  std::shared_ptr<NinfClient> client() { return pool_.acquire("", factory_); }
+
   ConnectionFactory factory_;
+  ConnectionPool pool_;
 };
 
 }  // namespace ninf::client

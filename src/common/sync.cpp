@@ -161,16 +161,15 @@ bool checkAndRecord(std::uint32_t acquiring, Violation* out) {
 }
 
 /// The documented lock hierarchy (docs/ANALYSIS.md) — seeded into the
-/// graph the first time the checker observes an acquisition, so
-/// reversing any documented order fails even on schedules where the
-/// forward order never runs.
+/// graph the first time the checker observes an acquisition (again after
+/// resetGraphForTesting), so reversing any documented order fails even
+/// on schedules where the forward order never runs.
 void declareCanonicalHierarchy() {
-  // Metaserver: the global table lock may wrap a per-server cache lock
-  // and the cooldown-skip counter; monitor I/O runs under the per-server
-  // poll mutex and drives a whole client channel beneath it.
-  declareOrder({"metaserver.global", "metaserver.server"});
-  declareOrder({"metaserver.global", "obs.registry"});
-  declareOrder({"metaserver.poll", "channel.setup", "channel.send",
+  // Metaserver directory: the table lock may wrap a per-server cache
+  // lock; monitor I/O runs under the per-server poll mutex and drives a
+  // whole client channel beneath it.
+  declareOrder({"directory.global", "directory.server"});
+  declareOrder({"directory.poll", "channel.setup", "channel.send",
                 "channel.pending"});
   // Session wire path: a v1 exchange holds the channel setup lock across
   // transport sends (and may log); v2 sends hold the send lock, with
@@ -204,7 +203,16 @@ void declareCanonicalHierarchy() {
   declareOrder({"server.cache", "obs.registry"});
 }
 
-std::once_flag g_hierarchy_once;
+std::mutex g_seed_mutex;
+std::atomic<bool> g_seeded{false};
+
+void seedCanonicalHierarchy() {
+  if (g_seeded.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(g_seed_mutex);
+  if (g_seeded.load(std::memory_order_relaxed)) return;
+  declareCanonicalHierarchy();
+  g_seeded.store(true, std::memory_order_release);
+}
 
 bool initialEnable() {
   if (const char* env = std::getenv("NINF_LOCKDEP")) {
@@ -236,7 +244,7 @@ std::uint32_t classIdOf(Mutex& m) {
 void acquireSlow(Mutex& m) {
   if (t_busy) return;
   t_busy = true;
-  std::call_once(g_hierarchy_once, declareCanonicalHierarchy);
+  seedCanonicalHierarchy();
   const std::uint32_t id = classIdOf(m);
   Violation v;
   const bool violated = checkAndRecord(id, &v);
@@ -332,6 +340,7 @@ void resetGraphForTesting() {
   std::lock_guard<std::mutex> lock(g.mu);
   g.out.clear();
   g_violations.store(0, std::memory_order_relaxed);
+  g_seeded.store(false, std::memory_order_release);
   t_held.clear();
 }
 

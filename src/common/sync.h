@@ -158,7 +158,8 @@ bool hasEdge(const char* from, const char* to);
 std::vector<std::string> heldLockNames();
 
 /// Test hook: drop every recorded/declared edge, the violation tally,
-/// and this thread's held stack (lock-class names stay interned).  Not
+/// and this thread's held stack (lock-class names stay interned); the
+/// next checked acquisition seeds the documented hierarchy again.  Not
 /// safe while other threads hold ninf mutexes.
 void resetGraphForTesting();
 

@@ -46,7 +46,7 @@ void LocalDirectory::addServer(ServerEntry entry) {
   for (const auto& s : servers_) {
     NINF_REQUIRE(s->entry.name != entry.name, "duplicate server name");
   }
-  auto state = std::make_unique<ServerState>();
+  auto state = std::make_shared<ServerState>();
   state->entry = std::move(entry);
   servers_.push_back(std::move(state));
 }
@@ -125,22 +125,23 @@ protocol::RegisterResult::Status LocalDirectory::applyLocked(
   entry.factory = resolver_(op.desc.endpoint);
   NINF_REQUIRE(entry.factory != nullptr, "resolver produced no factory");
 
+  auto state = std::make_shared<ServerState>();
+  state->entry = std::move(entry);
+  state->reg_epoch = op.reg_epoch;
   if (existing < servers_.size()) {
-    // Re-registration (newer epoch): refresh the descriptor in place so
-    // the candidate list never holds the same endpoint twice.
-    servers_[existing]->entry = std::move(entry);
-    servers_[existing]->reg_epoch = op.reg_epoch;
+    // Re-registration (newer epoch): a new incarnation replaces the
+    // state in its slot, so the candidate list never holds the same
+    // endpoint twice and readers still holding the old state never see
+    // its entry change.  It starts unpolled, like a fresh registration.
+    servers_[existing] = std::move(state);
   } else {
     for (const auto& s : servers_) {
-      if (s->entry.name == entry.name) {
-        throw Error("server name '" + entry.name +
+      if (s->entry.name == state->entry.name) {
+        throw Error("server name '" + state->entry.name +
                     "' already registered under endpoint " +
                     s->entry.endpoint);
       }
     }
-    auto state = std::make_unique<ServerState>();
-    state->entry = std::move(entry);
-    state->reg_epoch = op.reg_epoch;
     servers_.push_back(std::move(state));
   }
   applied_[op.desc.endpoint] = {op.reg_epoch, op.kind};
@@ -180,18 +181,24 @@ client::NinfClient& LocalDirectory::monitorOf(ServerState& state) {
   return *state.monitor;
 }
 
-LocalDirectory::ServerState* LocalDirectory::findByName(
+std::shared_ptr<LocalDirectory::ServerState> LocalDirectory::findByName(
     const std::string& name) const {
   LockGuard lock(mutex_);
-  for (auto& s : servers_) {
-    if (s->entry.name == name) return s.get();
+  for (const auto& s : servers_) {
+    if (s->entry.name == name) return s;
   }
   return nullptr;
 }
 
+std::vector<std::shared_ptr<LocalDirectory::ServerState>>
+LocalDirectory::states() const {
+  LockGuard lock(mutex_);
+  return servers_;
+}
+
 protocol::ServerStatusInfo LocalDirectory::poll(
     const std::string& server_name) {
-  ServerState* state = findByName(server_name);
+  const auto state = findByName(server_name);
   if (!state) throw NotFoundError("server '" + server_name + "'");
 
   // Wire I/O under the per-server poll mutex only, bounded by the poll
@@ -221,22 +228,17 @@ protocol::ServerStatusInfo LocalDirectory::poll(
 
 protocol::ServerStatusInfo LocalDirectory::lastStatus(
     const std::string& server_name) const {
-  ServerState* state = findByName(server_name);
+  const auto state = findByName(server_name);
   if (!state) throw NotFoundError("server '" + server_name + "'");
   LockGuard cache(state->mutex);
   return state->last_status;
 }
 
 std::vector<protocol::LivenessRecord> LocalDirectory::livenessDigest() const {
-  std::vector<ServerState*> states;
-  {
-    LockGuard lock(mutex_);
-    states.reserve(servers_.size());
-    for (auto& s : servers_) states.push_back(s.get());
-  }
+  const auto table = states();
   std::vector<protocol::LivenessRecord> out;
-  out.reserve(states.size());
-  for (ServerState* st : states) {
+  out.reserve(table.size());
+  for (const auto& st : table) {
     protocol::LivenessRecord rec;
     LockGuard cache(st->mutex);
     rec.server_name = st->entry.name;
@@ -252,7 +254,7 @@ std::vector<protocol::LivenessRecord> LocalDirectory::livenessDigest() const {
 void LocalDirectory::adoptLiveness(
     const std::vector<protocol::LivenessRecord>& digest) {
   for (const auto& rec : digest) {
-    ServerState* state = findByName(rec.server_name);
+    const auto state = findByName(rec.server_name);
     if (!state) continue;
     LockGuard cache(state->mutex);
     state->reachable = rec.reachable != 0;
@@ -269,24 +271,19 @@ std::vector<Candidate> LocalDirectory::snapshot(
   // RoundRobin is oblivious: no polling at all.
   if (policy_ == SchedulingPolicy::RoundRobin) return {};
 
-  std::vector<ServerState*> states;
-  {
-    LockGuard lock(mutex_);
-    states.reserve(servers_.size());
-    for (auto& s : servers_) states.push_back(s.get());
-  }
+  const auto table = states();
   const bool want_iface = policy_ == SchedulingPolicy::BandwidthAware;
 
   std::vector<Candidate> out;
-  out.reserve(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
+  out.reserve(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
     Candidate c;
     c.idx = i;
     if (std::find(excluded.begin(), excluded.end(), i) != excluded.end()) {
       out.push_back(c);  // excluded: never picked, don't poll it either
       continue;
     }
-    ServerState* st = states[i];
+    ServerState* st = table[i].get();
 
     // A declared entry list prunes without any wire I/O.
     if (!st->entry.entries.empty() &&
@@ -465,14 +462,14 @@ std::size_t LocalDirectory::pickAmong(
 }
 
 Directory::Target LocalDirectory::acquireTarget(std::size_t idx) {
-  ServerState* picked = nullptr;
+  std::shared_ptr<ServerState> picked;
   {
     LockGuard lock(mutex_);
     NINF_REQUIRE(idx < servers_.size(), "target index out of range");
-    picked = servers_[idx].get();
+    picked = servers_[idx];
   }
-  // entry is immutable while dispatches run and the state address is
-  // stable (unique_ptr), so the rest needs no global lock.
+  // entry is immutable and our reference keeps the state alive, so the
+  // rest needs no global lock.
   Target target;
   target.name = picked->entry.name;
   target.endpoint = picked->entry.endpoint;
@@ -487,11 +484,11 @@ Directory::Target LocalDirectory::acquireTarget(std::size_t idx) {
 
 void LocalDirectory::noteFailure(std::size_t idx, double cooldown_seconds) {
   if (cooldown_seconds <= 0) return;
-  ServerState* state = nullptr;
+  std::shared_ptr<ServerState> state;
   {
     LockGuard lock(mutex_);
     if (idx >= servers_.size()) return;
-    state = servers_[idx].get();
+    state = servers_[idx];
   }
   LockGuard cache(state->mutex);
   state->cooldown_until =

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "client/connection_pool.h"
 #include "client/dispatcher.h"
 #include "common/sync.h"
 #include "protocol/message.h"
@@ -190,8 +189,11 @@ class LocalDirectory : public Directory {
   void noteFailure(std::size_t idx, double cooldown_seconds) override;
 
  private:
+  /// Held by shared_ptr: snapshot()/poll()/acquireTarget() keep using a
+  /// state after a concurrent Deregister erased it from the table.
   struct ServerState {
-    ServerEntry entry;  // mutable only under the owning directory's mutex_
+    /// Immutable: a re-registration replaces the whole state.
+    ServerEntry entry;
     /// Registration epoch of the op that produced this entry (0 for
     /// addServer) — half of the idempotency key.
     std::uint64_t reg_epoch = 0;
@@ -227,7 +229,9 @@ class LocalDirectory : public Directory {
       const protocol::RegistryOp& op) NINF_REQUIRES(mutex_);
   client::NinfClient& monitorOf(ServerState& state)
       NINF_REQUIRES(state.poll_mutex);
-  ServerState* findByName(const std::string& name) const;
+  std::shared_ptr<ServerState> findByName(const std::string& name) const;
+  /// Every state in table order, copied under the table lock.
+  std::vector<std::shared_ptr<ServerState>> states() const;
   std::size_t indexOfEndpoint(const std::string& endpoint) const
       NINF_REQUIRES(mutex_);
 
@@ -239,9 +243,7 @@ class LocalDirectory : public Directory {
   /// applied-op tombstones; cached per-server state lives under each
   /// ServerState's own mutex.
   mutable Mutex mutex_{"directory.global"};
-  /// unique_ptr for stable addresses: per-state mutexes are held while
-  /// the vector may grow under addServer/apply.
-  std::vector<std::unique_ptr<ServerState>> servers_ NINF_GUARDED_BY(mutex_);
+  std::vector<std::shared_ptr<ServerState>> servers_ NINF_GUARDED_BY(mutex_);
   std::size_t rr_next_ NINF_GUARDED_BY(mutex_) = 0;
   /// Last applied (reg_epoch, kind) per endpoint — kept for endpoints
   /// whose server was deregistered too, so stale retries of either op

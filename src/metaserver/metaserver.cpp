@@ -80,8 +80,9 @@ client::CallResult Metaserver::dispatch(const std::string& name,
     static obs::Counter& dispatched = obs::counter("metaserver.dispatched");
     dispatched.add();
     NINF_LOG(Debug) << "dispatching " << name << " to " << target.name;
-    // Execute outside the lock: a call occupies its connection for its
-    // whole duration and other dispatches must proceed concurrently.
+    // Execute outside any directory lock, over the server's shared
+    // client: concurrent dispatches to one server multiplex on it, and a
+    // failed call breaks it only when the wire itself failed.
     try {
       client::CallOptions attempt_opts;  // one attempt; we do the retrying
       if (bounded) {
@@ -92,13 +93,8 @@ client::CallResult Metaserver::dispatch(const std::string& name,
         }
         attempt_opts.deadline_seconds = remaining;
       }
-      auto lease = pool_.acquire(target.name, target.factory);
-      try {
-        return lease->call(name, args, attempt_opts);
-      } catch (const TransportError&) {
-        lease.discard();  // connection is suspect; never pool it again
-        throw;
-      }
+      return pool_.acquire(target.name, target.factory)
+          ->call(name, args, attempt_opts);
     } catch (const TransportError& e) {
       // Server crashed or unreachable: fail over (paper, section 2.4),
       // and put the failed server in cooldown so a flapping server is

@@ -124,9 +124,6 @@ class Metaserver : public client::CallDispatcher {
   std::vector<client::CallResult> runTransaction(
       client::Transaction& transaction, std::size_t max_parallel = 0);
 
-  /// The dispatch connection pool (exposed for tests/ops inspection).
-  client::ConnectionPool& pool() { return pool_; }
-
   /// The underlying directory (exposed for the sharded node layer and
   /// for tests that exercise the registry path directly).
   LocalDirectory& directory() { return dir_; }

@@ -79,12 +79,11 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
   }
 
   schedule_pool_ = std::make_unique<ThreadPool>(kScheduleWorkers);
-  // v1 with the sharding bit only (trace context would change the
-  // framing); metrics under metaserver.reactor.*.
+  // v2 with the sharding bit only (no trace context on the control
+  // plane); metrics under metaserver.reactor.*.
   reactor_ = std::make_unique<server::Reactor>(
       static_cast<ReactorService&>(*this),
-      server::Reactor::Profile{protocol::kVersion, protocol::kFeatureSharding,
-                               "metaserver"},
+      server::Reactor::Profile{protocol::kFeatureSharding, "metaserver"},
       server::Reactor::Options{});
   reactor_->start(listener_);
 }
@@ -156,7 +155,7 @@ void MetaserverNode::stageFrame(std::uint64_t conn_id,
   auto f = std::make_shared<protocol::Frame>(std::move(frame));
   schedule_pool_->submit([this, conn_id, mode, f] {
     // Empty = the query failed: the reactor still frees the admission
-    // slot and the v1 hold, and closes the connection.
+    // slot (and a v1 client's hold), and closes the connection.
     common::PooledBuffer wire;
     try {
       const Reply reply = scheduleReply(f->body.span());

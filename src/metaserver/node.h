@@ -9,11 +9,12 @@
 // ring is stale.
 //
 // Serving: a node is a service of the epoll reactor (server/reactor.h)
-// that caps Hello at v1 lock-step framing and the kFeatureSharding bit,
-// so no v2 demux is needed on the control plane.  Ping, RingQuery,
-// registry and replication ops never block (replication only queues)
-// and are answered on the reactor thread; ScheduleQuery may block on
-// status polls and takes the staged path to a small fixed worker pool.
+// that negotiates v2 like a computing server and echoes only the
+// kFeatureSharding bit, so one client connection multiplexes concurrent
+// queries (v1 peers still get lock-step).  Ping, RingQuery, registry and
+// replication ops never block (replication only queues) and are answered
+// on the reactor thread; ScheduleQuery may block on status polls and
+// takes the staged path to a small fixed worker pool.
 //
 // Roles and fencing:
 //  * primary  — serves schedules and registrations, ships every registry

@@ -12,9 +12,7 @@
 // promotion); the ring epoch is the sum of shard epochs, so any
 // promotion anywhere advances it.  merge() folds in another view by
 // per-shard max epoch — the promoted backup's higher epoch wins over the
-// deposed primary's stale claim — and clients hand the ring epoch to the
-// connection pool as the reuse generation, flushing connections routed
-// under the old topology.
+// deposed primary's stale claim.
 #pragma once
 
 #include <cstdint>

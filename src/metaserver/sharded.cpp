@@ -112,13 +112,11 @@ auto ShardedMetaserver::shardLoop(const std::string& routing_entry,
     try {
       const std::uint32_t owner = ownerOf(routing_entry);
       protocol::ShardInfo info;
-      std::uint64_t generation = 0;
       {
         LockGuard lock(mutex_);
         const protocol::ShardInfo* s = ring_.shard(owner);
         NINF_REQUIRE(s != nullptr, "owning shard missing from the ring");
         info = *s;
-        generation = ring_.epoch();
       }
       // Primary first; the backup answers NotPrimary until it promotes,
       // after which it serves (and the next refresh makes it primary).
@@ -132,18 +130,12 @@ auto ShardedMetaserver::shardLoop(const std::string& routing_entry,
       }
       for (const auto& ep : endpoints) {
         try {
-          auto lease = node_pool_.acquire(
-              ep, [&] { return dialNode(ep); }, generation);
-          try {
-            return op(*lease, controlBudget(deadline));
-          } catch (const WrongShardError&) {
-            throw;  // stale routing; the connection itself is fine
-          } catch (const FencedError&) {
-            throw;  // deposed primary; ditto
-          } catch (...) {
-            lease.discard();
-            throw;
-          }
+          // Every query is checked for ownership and primaryship on its
+          // own, so the shared node client carries no topology: a
+          // redirect leaves it in place, a dead wire breaks it and the
+          // next acquire redials.
+          return op(*node_pool_.acquire(ep, [&] { return dialNode(ep); }),
+                    controlBudget(deadline));
         } catch (const WrongShardError&) {
           // Refresh below and go around with the corrected ring.
           break;
@@ -183,8 +175,8 @@ void ShardedMetaserver::noteShardEpoch(std::uint32_t shard,
   const protocol::ShardInfo* s = ring_.shard(shard);
   if (s == nullptr || epoch <= s->epoch) return;
   // We learned only the epoch, not the topology; patch the epoch in
-  // place (advancing the pool generation) and let the next redirect or
-  // refresh correct the endpoints if they moved too.
+  // place and let the next redirect or refresh correct the endpoints if
+  // they moved too.
   protocol::RingDescriptor patch;
   patch.shards.push_back(*s);
   patch.shards.back().epoch = epoch;
@@ -222,7 +214,7 @@ client::CallResult ShardedMetaserver::dispatch(
   std::vector<std::string> failed;
   for (std::size_t attempt = 0;; ++attempt) {
     const protocol::ScheduleChoice choice = route(name, failed, deadline);
-    auto lease = data_pool_.acquire(
+    const auto server = data_pool_.acquire(
         choice.endpoint, [&] { return opts_.server_dialer(choice.endpoint); });
     try {
       client::CallOptions sub;  // single attempt; we do our own failover
@@ -231,9 +223,8 @@ client::CallResult ShardedMetaserver::dispatch(
             0.001,
             std::chrono::duration<double>(deadline - Clock::now()).count());
       }
-      return lease->call(name, args, sub);
+      return server->call(name, args, sub);
     } catch (const TransportError&) {
-      lease.discard();
       failed.push_back(choice.server_name);
       if (attempt >= failovers) throw;
       if (deadline != kUnbounded && Clock::now() >= deadline) throw;

@@ -7,15 +7,19 @@
 //   dispatch(entry) ─► route(): ring lookup ─► owning shard primary
 //        │                (cached RingDescriptor; ScheduleQuery RPC)
 //        ▼
-//   call the chosen computing server directly (pooled data connection)
+//   call the chosen computing server directly (shared data connection)
+//
+// Connections: one shared, multiplexed client per node endpoint and one
+// per computing server (connection_pool.h), so concurrent dispatches
+// never dial per call.  A node connection carries no topology — every
+// query is checked for ownership and primaryship on its own — so a ring
+// change needs no connection flush.
 //
 // Ring bootstrap and staleness: the ring is fetched from the configured
 // seed endpoints (RingQuery/RingInfo) and cached.  Every WrongShard
 // redirect triggers a refresh — the views of all reachable seeds are
 // merged (per-shard max epoch, see ring.h), so a promoted backup's claim
-// wins over a deposed primary's.  The merged ring epoch is handed to the
-// connection pool as the reuse generation: a promotion flushes every
-// node connection negotiated under the old topology.
+// wins over a deposed primary's.
 //
 // Failure envelope: route() keeps trying (primary, then backup, refresh,
 // backoff) until its deadline; with no deadline the rounds are bounded
@@ -113,11 +117,6 @@ class ShardedMetaserver : public client::CallDispatcher {
       const std::vector<std::string>& entries, std::uint64_t reg_epoch,
       double deadline_seconds = 0.0);
 
-  /// Control-plane pool (node connections, ring-epoch generations) and
-  /// data-plane pool (computing servers), exposed for tests/ops.
-  client::ConnectionPool& nodePool() { return node_pool_; }
-  client::ConnectionPool& dataPool() { return data_pool_; }
-
  private:
   /// The shared redirect/refresh/backoff loop: resolve the shard owning
   /// `routing_entry`, run `op` against its primary (then backup), and
@@ -131,8 +130,8 @@ class ShardedMetaserver : public client::CallDispatcher {
   std::unique_ptr<client::NinfClient> dialNode(const std::string& endpoint);
   /// Fold a shard epoch learned from a reply (ScheduleChoice/RegisterAck
   /// carry the serving node's epoch) into the cached ring, so a
-  /// promotion noticed on the data path advances the pool generation
-  /// even when no redirect forced a refresh.
+  /// promotion noticed on the data path advances the ring epoch even
+  /// when no redirect forced a refresh.
   void noteShardEpoch(std::uint32_t shard, std::uint64_t epoch);
   /// Seconds left until `deadline` clamped to the control timeout;
   /// 0 (unbounded RPC) never escapes — a floor applies.

@@ -9,7 +9,9 @@
 // the metaserver library (nodes, replication) speak them, and protocol
 // is below both.
 //
-// Message flows (all v1-framed, lock-step; licensed by kFeatureSharding):
+// Message flows (v2-framed on a negotiated connection, so one connection
+// carries concurrent queries; v1 lock-step for peers that never sent
+// Hello; licensed by kFeatureSharding):
 //
 //   client                          metaserver node
 //     | -- RingQuery(known epoch) ----> |

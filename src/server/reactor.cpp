@@ -383,7 +383,7 @@ void Reactor::handleHello(Conn& conn, const Frame& frame) {
   const bool client_sent_features = dec.remaining() >= 4;
   const std::uint32_t client_features =
       client_sent_features ? dec.getU32() : 0;
-  const std::uint32_t agreed = std::min(client_max, profile_.max_version);
+  const std::uint32_t agreed = std::min(client_max, protocol::kMaxVersion);
   const std::uint32_t features = client_features & profile_.features;
   xdr::Encoder ack;
   ack.putU32(agreed);

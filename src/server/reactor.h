@@ -93,10 +93,10 @@ class ReactorService {
 
 class Reactor {
  public:
-  /// Constant per service: Hello's version cap and feature bits, and the
-  /// metric root (`<root>.reactor.*`, `<root>.v2_connections`).
+  /// Constant per service: the feature bits Hello may echo (every
+  /// service agrees on up to protocol::kMaxVersion), and the metric root
+  /// (`<root>.reactor.*`, `<root>.v2_connections`).
   struct Profile {
-    std::uint32_t max_version = protocol::kVersion;
     std::uint32_t features = 0;
     std::string_view metrics_root;
   };

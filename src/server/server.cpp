@@ -33,8 +33,7 @@ NinfServer::NinfServer(Registry& registry, ServerOptions options)
   // v2 with the trace extension; metrics under server.reactor.*.
   reactor_ = std::make_unique<Reactor>(
       static_cast<ReactorService&>(*this),
-      Reactor::Profile{protocol::kMaxVersion, protocol::kFeatureTraceContext,
-                       "server"},
+      Reactor::Profile{protocol::kFeatureTraceContext, "server"},
       ropts);
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {

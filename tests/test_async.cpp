@@ -1,5 +1,7 @@
-// Ninf_call_async: futures over concurrent connections.
+// Ninf_call_async: futures over concurrent calls.
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "client/async.h"
 #include "client/dispatcher.h"
@@ -64,6 +66,30 @@ TEST_F(AsyncFixture, ManyInFlightCallsAllComplete) {
                ArgValue::outArray(sums[i]), ArgValue::outArray(qs[i])}));
   }
   for (auto& f : futures) f.get();
+  double total = 0;
+  for (const auto& s : sums) total += s[0];
+  EXPECT_NEAR(total, numlib::runEp(0, kCalls * 256).sx, 1e-8);
+}
+
+TEST_F(AsyncFixture, DirectDispatcherDialsOnceForManyInFlightCalls) {
+  std::atomic<int> dials{0};
+  DirectDispatcher direct([this, &dials] {
+    dials.fetch_add(1);
+    return NinfClient::connectTcp("127.0.0.1", port_);
+  });
+  AsyncCaller async(direct);
+  constexpr int kCalls = 12;
+  std::vector<std::vector<double>> sums(kCalls, std::vector<double>(2));
+  std::vector<std::vector<double>> qs(kCalls, std::vector<double>(10));
+  std::vector<std::future<CallResult>> futures;
+  for (int i = 0; i < kCalls; ++i) {
+    futures.push_back(async.callAsync(
+        "ep", {ArgValue::inInt(i * 256), ArgValue::inInt(256),
+               ArgValue::outArray(sums[i]), ArgValue::outArray(qs[i])}));
+  }
+  for (auto& f : futures) f.get();
+  // Every call multiplexed over the one shared connection.
+  EXPECT_EQ(dials.load(), 1);
   double total = 0;
   for (const auto& s : sums) total += s[0];
   EXPECT_NEAR(total, numlib::runEp(0, kCalls * 256).sx, 1e-8);

@@ -9,13 +9,15 @@
 //    within its deadline — killing a shard primary mid-storm never hangs
 //    or corrupts a call;
 //  * the backup promotes within its heartbeat miss budget and the shard
-//    epoch advances, so clients flush stale pooled connections;
+//    epoch advances, and clients reach it over their one shared
+//    connection per node while the fenced primary serves nothing;
 //  * a deposed primary fences itself on the first StaleEpoch ack and
 //    refuses registrations from then on;
 //  * registration is idempotent on (endpoint, reg_epoch) — retries and
 //    replayed log entries never double-register a server.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -95,7 +97,8 @@ struct ShardNodes {
 class ShardCluster {
  public:
   explicit ShardCluster(std::size_t shard_count,
-                        std::size_t server_count = 2) {
+                        std::size_t server_count = 2,
+                        std::size_t server_workers = 2) {
     // Listeners first: the ring descriptor needs every port up front.
     std::vector<std::shared_ptr<transport::TcpListener>> plisten, blisten;
     protocol::RingDescriptor ring;
@@ -154,7 +157,7 @@ class ShardCluster {
       auto registry = std::make_unique<server::Registry>();
       server::registerStandardExecutables(*registry);
       auto srv = std::make_unique<server::NinfServer>(
-          *registry, server::ServerOptions{.workers = 2});
+          *registry, server::ServerOptions{.workers = server_workers});
       auto listener = std::make_shared<transport::TcpListener>(0);
       server_endpoints_.push_back(endpointOf(listener->port()));
       srv->start(listener);
@@ -369,31 +372,81 @@ TEST(ShardedMetaserverTest, PartitionPromotesBackupAndFencesOldPrimary) {
   EXPECT_GE(client.ringEpoch(), 2u);
 }
 
-TEST(ShardedMetaserverTest, PromotionFlushesStalePooledConnections) {
+TEST(ShardedMetaserverTest, PromotionRoutesToTheBackupOverTheSharedClient) {
   ShardCluster cluster(1, /*server_count=*/1);
   auto client = cluster.makeClient();
   cluster.registerServersFor(client, "ep");
-
-  const std::uint64_t flushes_before =
-      obs::counter("pool.generation_flushes").value();
-
-  // Kill the primary outright.  Routing under the stale epoch-1 ring
-  // finds the primary dead, bounces off the not-yet-promoted backup
-  // with NotPrimary (pooling that connection under generation 1), and
-  // keeps refreshing until the backup promotes and serves.
   auto& shard = cluster.shards_[0];
-  shard.primary->stop();
-  const auto choice = client.route(
-      "ep", {}, std::chrono::steady_clock::now() + std::chrono::seconds(5));
-  EXPECT_FALSE(choice.server_name.empty());
-  EXPECT_TRUE(shard.backup->isPrimary());
+  const auto deadline = [] {
+    return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  };
+  // The primary serves over the shared node client the registration
+  // dialed.
+  EXPECT_EQ(client.route("ep", {}, deadline()).shard_epoch, 1u);
+
+  // Partition, promote, heal: the old primary fences itself.
+  shard.primary->replication()->setPaused(true);
+  ASSERT_TRUE(eventually(kPromotionBound,
+                         [&] { return shard.backup->isPrimary(); }));
+  shard.primary->replication()->setPaused(false);
+  ASSERT_TRUE(eventually(kPromotionBound,
+                         [&] { return shard.primary->isFenced(); }));
+
+  // The fenced primary's NotPrimary redirect refreshes the ring, and
+  // routing reaches the promoted backup: one dial, then its shared
+  // client serves every later query.
+  const double misses_before = obs::counter("pool.misses").value();
+  for (int i = 0; i < 3; ++i) {
+    const auto choice = client.route("ep", {}, deadline());
+    EXPECT_FALSE(choice.server_name.empty());
+    EXPECT_EQ(choice.shard_epoch, shard.backup->shardEpoch());
+  }
+  EXPECT_DOUBLE_EQ(obs::counter("pool.misses").value() - misses_before, 1.0);
   EXPECT_GE(client.ringEpoch(), 2u);
 
-  // The post-promotion acquire of the same backup endpoint carries the
-  // new ring epoch as its generation, retiring the epoch-1 connection.
-  (void)client.route(
-      "ep", {}, std::chrono::steady_clock::now() + std::chrono::seconds(5));
-  EXPECT_GT(obs::counter("pool.generation_flushes").value(), flushes_before);
+  // The fenced primary answers no schedule, only redirects.
+  auto direct = dialEndpoint(shard.primary_endpoint);
+  try {
+    direct->scheduleQuery("ep", {}, 2.0);
+    FAIL() << "expected WrongShardError";
+  } catch (const WrongShardError& e) {
+    EXPECT_TRUE(e.notPrimary());
+  }
+}
+
+TEST(ShardedMetaserverTest, ConcurrentDispatchesDialEachEndpointOnce) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kCallsPerThread = 8;
+  ShardCluster cluster(1, /*server_count=*/1, /*server_workers=*/kThreads);
+  {
+    auto registrar = cluster.makeClient();
+    cluster.registerServersFor(registrar, "ep");
+  }
+  auto client = cluster.makeClient();
+  const double misses_before = obs::counter("pool.misses").value();
+
+  constexpr std::int64_t kSamples = 256;
+  const auto expected = numlib::runEp(0, kSamples);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::future<void>> callers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    callers.push_back(std::async(std::launch::async, [&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int c = 0; c < kCallsPerThread; ++c) {
+        std::vector<double> sums(2, -1.0), q(10);
+        auto args = epArgs(sums, q, kSamples);
+        CallOptions opts;
+        opts.deadline_seconds = kDeadlineSeconds;
+        client.dispatch("ep", args, opts);
+        EXPECT_NEAR(sums[0], expected.sx, 1e-9);
+      }
+    }));
+  }
+  for (auto& f : callers) f.get();
+  // One node endpoint and one server endpoint: one dial each, however
+  // many callers overlap.
+  EXPECT_DOUBLE_EQ(obs::counter("pool.misses").value() - misses_before, 2.0);
 }
 
 /// Seeded kill schedules: a dispatch storm is in flight when the owning

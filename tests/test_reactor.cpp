@@ -481,7 +481,7 @@ TEST_F(NodeReactorTest, CountsUnderItsOwnMetricRoot) {
             server_flushes);
 }
 
-TEST_F(NodeReactorTest, HelloAgreesOnV1AndEchoesOnlySharding) {
+TEST_F(NodeReactorTest, HelloAgreesOnV2AndEchoesOnlySharding) {
   auto stream = dial();
   xdr::Encoder hello;
   hello.putU32(protocol::kVersion2);
@@ -490,10 +490,20 @@ TEST_F(NodeReactorTest, HelloAgreesOnV1AndEchoesOnlySharding) {
   const protocol::Message ack = protocol::recvMessage(*stream);
   ASSERT_EQ(ack.type, MessageType::HelloAck);
   xdr::Decoder dec(ack.payload);
-  EXPECT_EQ(dec.getU32(), protocol::kVersion);
+  EXPECT_EQ(dec.getU32(), protocol::kVersion2);
   EXPECT_EQ(dec.getU32(), protocol::kFeatureSharding);
-  // The connection stays on v1 framing.
-  expectRingInfo(*stream);
+  // The connection switches to untraced v2 framing: the reply echoes
+  // the request's call id.
+  xdr::Encoder query;
+  query.putU64(0);  // known ring epoch
+  protocol::sendMessageV2(*stream, MessageType::RingQuery, 7, query);
+  const protocol::FrameHeader header = protocol::recvHeaderV2(*stream);
+  ASSERT_EQ(header.type, MessageType::RingInfo);
+  EXPECT_EQ(header.call_id, 7u);
+  std::vector<std::uint8_t> body(header.length);
+  stream->recvAll(body);
+  xdr::Decoder info(body);
+  EXPECT_EQ(protocol::RingDescriptor::decode(info).shards.size(), 1u);
 }
 
 TEST_F(NodeReactorTest, PipelinedRepliesKeepRequestOrder) {

@@ -1,11 +1,12 @@
 // Session layer: call-ID multiplexing on one shared connection, protocol
 // negotiation (v1 interop), failure semantics of in-flight calls, and the
-// endpoint-keyed connection pool.
+// one-shared-client-per-endpoint connection pool.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -28,7 +29,6 @@ namespace {
 using client::CallOptions;
 using client::ConnectionPool;
 using client::NinfClient;
-using client::PoolOptions;
 using protocol::ArgValue;
 
 double secondsSince(std::chrono::steady_clock::time_point start) {
@@ -334,16 +334,14 @@ TEST_F(PoolFixture, ReleaseThenAcquireReusesTheConnection) {
   ConnectionPool pool;
   const double hits_before = obs::counter("pool.hits").value();
   const double misses_before = obs::counter("pool.misses").value();
+  NinfClient* first = nullptr;
   {
-    auto lease = pool.acquire("srv", countingFactory());
-    EXPECT_GE(lease->ping(), 0.0);  // connection is usable
-    EXPECT_EQ(pool.inUseCount(), 1u);
+    auto client = pool.acquire("srv", countingFactory());
+    EXPECT_GE(client->ping(), 0.0);  // connection is usable
+    first = client.get();
   }
-  EXPECT_EQ(pool.idleCount(), 1u);
-  {
-    auto lease = pool.acquire("srv", countingFactory());
-    EXPECT_EQ(pool.idleCount(), 0u);
-  }
+  auto again = pool.acquire("srv", countingFactory());
+  EXPECT_EQ(again.get(), first);  // the pool kept it alive
   EXPECT_EQ(created_.load(), 1);  // second acquire reused, not rebuilt
   EXPECT_DOUBLE_EQ(obs::counter("pool.hits").value() - hits_before, 1.0);
   EXPECT_DOUBLE_EQ(obs::counter("pool.misses").value() - misses_before, 1.0);
@@ -351,95 +349,89 @@ TEST_F(PoolFixture, ReleaseThenAcquireReusesTheConnection) {
 
 TEST_F(PoolFixture, DistinctEndpointsDoNotShareConnections) {
   ConnectionPool pool;
-  { auto lease = pool.acquire("a", countingFactory()); }
-  { auto lease = pool.acquire("b", countingFactory()); }
+  auto a = pool.acquire("a", countingFactory());
+  auto b = pool.acquire("b", countingFactory());
   EXPECT_EQ(created_.load(), 2);
-  EXPECT_EQ(pool.idleCount(), 2u);
-}
-
-TEST_F(PoolFixture, OverflowBeyondMaxIdleIsEvicted) {
-  PoolOptions options;
-  options.max_idle_per_endpoint = 1;
-  ConnectionPool pool(options);
-  {
-    auto first = pool.acquire("srv", countingFactory());
-    auto second = pool.acquire("srv", countingFactory());
-    EXPECT_EQ(pool.inUseCount(), 2u);
-  }
-  EXPECT_EQ(pool.idleCount(), 1u);  // one kept, one closed on return
-}
-
-TEST_F(PoolFixture, TtlEvictsStaleIdleConnections) {
-  PoolOptions options;
-  options.idle_ttl_seconds = 0.05;
-  ConnectionPool pool(options);
-  { auto lease = pool.acquire("srv", countingFactory()); }
-  EXPECT_EQ(pool.idleCount(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  { auto lease = pool.acquire("srv", countingFactory()); }
-  EXPECT_EQ(created_.load(), 2);  // stale idle entry was not reused
+  EXPECT_NE(a.get(), b.get());
 }
 
 TEST_F(PoolFixture, BrokenConnectionIsNeverPooled) {
   ConnectionPool pool;
-  {
-    auto lease = pool.acquire("srv", countingFactory());
-    lease->close();  // marks the channel broken
-  }
-  EXPECT_EQ(pool.idleCount(), 0u);
+  auto broken = pool.acquire("srv", countingFactory());
+  broken->close();  // marks the channel broken
+  auto fresh = pool.acquire("srv", countingFactory());
+  EXPECT_NE(fresh.get(), broken.get());  // redialed, not handed out again
+  EXPECT_EQ(created_.load(), 2);
+  EXPECT_GE(fresh->ping(), 0.0);
 }
 
-TEST_F(PoolFixture, DiscardedLeaseIsNotReturned) {
+TEST_F(PoolFixture, DeadPeerRedialSurfacesTransportError) {
   ConnectionPool pool;
-  {
-    auto lease = pool.acquire("srv", countingFactory());
-    lease.discard();
+  auto client = pool.acquire("srv", countingFactory());
+  EXPECT_GE(client->ping(), 0.0);  // negotiated v2: a reader watches EOF
+  server().stop();  // the shared connection's peer is now gone
+  const auto start = std::chrono::steady_clock::now();
+  while (!client->channel().broken() && secondsSince(start) < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(pool.idleCount(), 0u);
-  EXPECT_EQ(pool.inUseCount(), 0u);
+  ASSERT_TRUE(client->channel().broken());
+  // The broken client is not handed out; the redial cannot connect.
+  EXPECT_THROW((void)pool.acquire("srv", countingFactory()), TransportError);
+  EXPECT_EQ(created_.load(), 2);
 }
 
-TEST(ConnectionPoolHealth, StalledPeerHealthCheckIsBoundedAndEvicted) {
-  // A pooled connection whose peer is open but unresponsive must not
-  // wedge acquire(): the health-check ping is deadline-bounded, the
-  // stalled entry is evicted on timeout, and a fresh connection is built
-  // through the factory.
-  PoolOptions options;
-  options.health_check_after_seconds = 0.0;  // ping on every reuse
-  options.health_check_timeout_seconds = 0.1;
-  ConnectionPool pool(options);
-  std::vector<std::unique_ptr<transport::Stream>> peers;  // open, mute
+/// A client over one end of an inproc pair whose far end is kept open
+/// and mute.
+class MutePeers {
+ public:
+  std::unique_ptr<transport::Stream> nearEnd() {
+    auto [near_end, far_end] = transport::inprocPair();
+    LockGuard lock(mutex_);
+    far_ends_.push_back(std::move(far_end));
+    return std::move(near_end);
+  }
+
+ private:
+  Mutex mutex_{"test.peers"};
+  std::vector<std::unique_ptr<transport::Stream>> far_ends_
+      NINF_GUARDED_BY(mutex_);
+};
+
+TEST(ConnectionPoolHealth, StalledPeerNeverBlocksAcquire) {
+  // A shared client whose peer is open but unresponsive: acquire() does
+  // no I/O on a hit, so it returns at once, and the caller's own
+  // deadline bounds the stalled call.
+  ConnectionPool pool;
+  MutePeers peers;
   int created = 0;
   ConnectionPool::Factory factory = [&] {
-    auto [near_end, far_end] = transport::inprocPair();
-    peers.push_back(std::move(far_end));
     ++created;
-    return std::make_unique<NinfClient>(std::move(near_end),
-                                        /*force_v1=*/true);
+    return std::make_unique<NinfClient>(peers.nearEnd(), /*force_v1=*/true);
   };
-  { auto lease = pool.acquire("stalled", factory); }  // fresh: no check
-  EXPECT_EQ(pool.idleCount(), 1u);
-  const double dead_before = obs::counter("pool.dead_evictions").value();
+  auto first = pool.acquire("stalled", factory);
   const auto start = std::chrono::steady_clock::now();
-  { auto lease = pool.acquire("stalled", factory); }
+  auto again = pool.acquire("stalled", factory);
+  EXPECT_LT(secondsSince(start), 0.1);
+  EXPECT_EQ(again.get(), first.get());
+  EXPECT_EQ(created, 1);
+  EXPECT_THROW(again->ping(0, 0.1), TimeoutError);
   EXPECT_LT(secondsSince(start), 1.0);  // bounded, not wedged
-  EXPECT_EQ(created, 2);                // stalled entry evicted, rebuilt
-  EXPECT_GE(obs::counter("pool.dead_evictions").value() - dead_before, 1.0);
 }
 
 /// Inproc stream that proves it is being destroyed OUTSIDE the pool
-/// lock: the destructor queries the pool (self-deadlock under a
-/// non-recursive mutex if the lock were held — the lock-order checker
-/// flags it first) and then dawdles, so a regression also shows up as
-/// acquire() latency on unrelated endpoints.
+/// lock: the destructor runs a probe that acquires a live client from
+/// the pool (self-deadlock under a non-recursive mutex if the lock were
+/// held —
+/// the lock-order checker flags it first) and then dawdles, so a
+/// regression also shows up as acquire() latency on unrelated endpoints.
 class EvictionCanaryStream : public transport::Stream {
  public:
   EvictionCanaryStream(std::unique_ptr<transport::Stream> inner,
-                       ConnectionPool* pool, std::atomic<int>* probes)
-      : inner_(std::move(inner)), pool_(pool), probes_(probes) {}
+                       std::function<void()> probe, std::atomic<int>* probes)
+      : inner_(std::move(inner)), probe_(std::move(probe)), probes_(probes) {}
 
   ~EvictionCanaryStream() override {
-    (void)pool_->idleCount();  // deadlocks if destroyed under the pool lock
+    probe_();  // deadlocks if destroyed under the pool lock
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     probes_->fetch_add(1);
   }
@@ -459,64 +451,41 @@ class EvictionCanaryStream : public transport::Stream {
 
  private:
   std::unique_ptr<transport::Stream> inner_;
-  ConnectionPool* pool_;
+  std::function<void()> probe_;
   std::atomic<int>* probes_;
 };
 
-TEST(ConnectionPoolEviction, TtlEvictionDestroysConnectionsOutsideTheLock) {
-  PoolOptions options;
-  options.idle_ttl_seconds = 0.03;
-  options.health_check_after_seconds = 1e9;  // never ping (peers are mute)
-  ConnectionPool pool(options);
-
-  Mutex peers_mutex{"test.peers"};
-  std::vector<std::unique_ptr<transport::Stream>> peers;  // keep ends open
+TEST(ConnectionPoolEviction, ReplacedBrokenClientIsDestroyedOutsideTheLock) {
+  ConnectionPool pool;
+  MutePeers peers;
   std::atomic<int> canary_probes{0};
-  ConnectionPool::Factory factory = [&] {
-    auto [near_end, far_end] = transport::inprocPair();
-    {
-      LockGuard lock(peers_mutex);
-      peers.push_back(std::move(far_end));
-    }
+  ConnectionPool::Factory plain = [&] {
+    return std::make_unique<NinfClient>(peers.nearEnd(), /*force_v1=*/true);
+  };
+  ConnectionPool::Factory canary = [&] {
     return std::make_unique<NinfClient>(
-        std::make_unique<EvictionCanaryStream>(std::move(near_end), &pool,
-                                               &canary_probes),
+        std::make_unique<EvictionCanaryStream>(
+            peers.nearEnd(), [&] { (void)pool.acquire("probe", plain); },
+            &canary_probes),
         /*force_v1=*/true);
   };
 
-  {
-    auto first = pool.acquire("srv", factory);
-    auto second = pool.acquire("srv", factory);
-  }
-  EXPECT_EQ(pool.idleCount(), 2u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));  // pass the TTL
+  (void)pool.acquire("probe", plain);     // the canary's probe is a hit
+  pool.acquire("srv", canary)->close();  // broken, still in its slot
 
-  // This acquire sheds both stale entries; their canary destructors (2 x
-  // 80 ms + a pool query each) must run with the pool unlocked.
-  std::thread evictor([&] { auto lease = pool.acquire("srv", factory); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // mid-eviction
+  // This acquire replaces the broken client; its canary destructor (a
+  // pool acquire + 80 ms) must run with the pool unlocked.
+  std::thread replacer([&] { (void)pool.acquire("srv", plain); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // mid-destroy
 
   // Meanwhile the pool stays responsive for everyone else.
   const auto start = std::chrono::steady_clock::now();
-  { auto lease = pool.acquire("other", factory); }
+  (void)pool.acquire("other", plain);
   EXPECT_LT(secondsSince(start), 0.05)
-      << "slow eviction destructors must not serialize unrelated acquires";
+      << "a slow replaced client must not serialize unrelated acquires";
 
-  evictor.join();
-  EXPECT_GE(canary_probes.load(), 2);  // both stale canaries fully destroyed
-}
-
-TEST_F(PoolFixture, DeadPeerFailsHealthCheckAndIsReplaced) {
-  PoolOptions options;
-  options.health_check_after_seconds = 0.0;  // ping on every reuse
-  ConnectionPool pool(options);
-  { auto lease = pool.acquire("srv", countingFactory()); }
-  server().stop();  // the pooled connection's peer is now gone
-  const double dead_before = obs::counter("pool.dead_evictions").value();
-  EXPECT_THROW(
-      { auto lease = pool.acquire("srv", countingFactory()); },
-      TransportError);  // idle entry evicted, factory can't connect either
-  EXPECT_GE(obs::counter("pool.dead_evictions").value() - dead_before, 1.0);
+  replacer.join();
+  EXPECT_EQ(canary_probes.load(), 1);  // the broken canary fully destroyed
 }
 
 }  // namespace

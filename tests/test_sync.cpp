@@ -319,4 +319,20 @@ TEST_F(LockdepTest, CanonicalHierarchyIsEnforced) {
   EXPECT_NE(violations_[0].cycle.find("channel.setup"), std::string::npos);
 }
 
+// The seeded hierarchy names the locks the metaserver directory really
+// takes: a status poll drives a client channel under "directory.poll",
+// so taking the poll lock inside a channel lock is reported.
+TEST_F(LockdepTest, CanonicalHierarchyOrdersDirectoryPollBeforeChannel) {
+  Mutex setup{"channel.setup"};
+  Mutex poll{"directory.poll"};
+  {
+    LockGuard ls(setup);
+    LockGuard lp(poll);  // channel-before-poll reverses the hierarchy
+  }
+  ASSERT_EQ(violations_.size(), 1u);
+  EXPECT_NE(violations_[0].established.find("declared lock hierarchy"),
+            std::string::npos);
+  EXPECT_TRUE(ninf::lockdep::hasEdge("directory.global", "directory.server"));
+}
+
 }  // namespace
