@@ -12,6 +12,10 @@
 // Sizes are dmmul matrix orders; the CallRequest body carries two n*n
 // double arrays (n=512 -> 4 MiB of array payload, n=1024 -> 16 MiB).
 // Reports min and median MB/s per path and the streamed/legacy speedup.
+// Two per-layer rows per size time the server's per-byte passes alone,
+// with no transport: `digest` is ResultCache::digestOf over the whole
+// request body, `decode` is decodeCallArgs from a contiguous Decoder.
+// Every rate is MB of array payload per second, so rows compare directly.
 //
 // --faulty wraps both pipe ends in the fault-injection decorator with a
 // no-fault plan: comparing a --faulty run against a plain one verifies
@@ -32,6 +36,7 @@
 #include "idl/parser.h"
 #include "protocol/call_marshal.h"
 #include "protocol/message.h"
+#include "server/result_cache.h"
 #include "transport/fault_injection.h"
 #include "transport/inproc_transport.h"
 #include "xdr/xdr.h"
@@ -109,6 +114,25 @@ struct Harness {
   }
 };
 
+/// The dmmul arguments over n*n matrices this object owns.
+struct DmmulCall {
+  std::vector<double> a, b, c;
+  std::vector<ArgValue> args;
+
+  explicit DmmulCall(std::size_t n) : a(n * n), b(n * n), c(n * n) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<double>(i % 1000) * 0.5;
+      b[i] = static_cast<double>(i % 997) * -0.25;
+    }
+    args = {ArgValue::inInt(static_cast<std::int64_t>(n)),
+            ArgValue::inArray(a), ArgValue::inArray(b), ArgValue::outArray(c)};
+  }
+};
+
+double arrayPayloadMb(std::size_t n) {
+  return static_cast<double>(2 * n * n * sizeof(double)) / 1e6;
+}
+
 double oneRound(Harness& h, bool streamed,
                 std::span<const ArgValue> args) {
   const double t0 = nowSeconds();
@@ -132,27 +156,17 @@ struct Stats {
   std::vector<double> round_ms;  // timed rounds, in run order
 };
 
-Stats runPath(bool streamed, bool faulty, std::size_t n, int warmup,
-              int repeat) {
-  std::vector<double> a(n * n), b(n * n), c(n * n);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<double>(i % 1000) * 0.5;
-    b[i] = static_cast<double>(i % 997) * -0.25;
-  }
-  const std::vector<ArgValue> args = {
-      ArgValue::inInt(static_cast<std::int64_t>(n)), ArgValue::inArray(a),
-      ArgValue::inArray(b), ArgValue::outArray(c)};
-  const double body_mb =
-      static_cast<double>(2 * n * n * sizeof(double)) / 1e6;
-
-  Harness h(streamed, faulty);
-  for (int i = 0; i < warmup; ++i) oneRound(h, streamed, args);
+/// Run `round` (which returns its own duration in seconds) `warmup`
+/// times untimed, then `repeat` times timed.
+template <typename Round>
+Stats measure(double body_mb, int warmup, int repeat, Round round) {
+  for (int i = 0; i < warmup; ++i) round();
   Stats s;
   std::vector<double> mbps;
   mbps.reserve(static_cast<std::size_t>(repeat));
   s.round_ms.reserve(static_cast<std::size_t>(repeat));
   for (int i = 0; i < repeat; ++i) {
-    const double seconds = oneRound(h, streamed, args);
+    const double seconds = round();
     s.round_ms.push_back(seconds * 1e3);
     mbps.push_back(body_mb / seconds);
   }
@@ -162,7 +176,35 @@ Stats runPath(bool streamed, bool faulty, std::size_t n, int warmup,
   return s;
 }
 
-// One BenchStep per (path, size) pair: latency is the per-round marshal
+Stats runPath(bool streamed, bool faulty, std::size_t n, int warmup,
+              int repeat) {
+  const DmmulCall call(n);
+  Harness h(streamed, faulty);
+  return measure(arrayPayloadMb(n), warmup, repeat,
+                 [&] { return oneRound(h, streamed, call.args); });
+}
+
+enum class Layer { Digest, Decode };
+
+Stats runLayer(Layer layer, std::size_t n, int warmup, int repeat) {
+  const DmmulCall call(n);
+  const std::vector<std::uint8_t> body =
+      protocol::encodeCallRequest(dmmulInfo(), call.args);
+  volatile std::uint64_t sink = 0;  // defeats dead-code elimination
+  return measure(arrayPayloadMb(n), warmup, repeat, [&] {
+    const double t0 = nowSeconds();
+    if (layer == Layer::Digest) {
+      sink = server::ResultCache::digestOf(body).a;
+    } else {
+      xdr::Decoder dec(body);
+      dec.getString();  // entry name
+      sink = protocol::decodeCallArgs(dmmulInfo(), dec).arrays[1].size();
+    }
+    return nowSeconds() - t0;
+  });
+}
+
+// One BenchStep per (path or layer, size) pair: latency is the per-round
 // time, throughput_cps is rounds per timed second.
 bench::BenchStep marshalStep(const char* path, std::size_t n,
                              const Stats& stats, double body_mb) {
@@ -245,9 +287,10 @@ int main(int argc, char** argv) {
 
   std::printf("# marshal path benchmark: warmup=%d repeat=%d faulty=%d\n",
               warmup, repeat, faulty ? 1 : 0);
-  std::printf("%8s %12s %14s %14s %14s %14s %9s\n", "n", "body_MB",
-              "legacy_min", "legacy_med", "stream_min", "stream_med",
-              "speedup");
+  std::printf("%8s %12s %14s %14s %14s %14s %9s %14s %14s %14s %14s\n", "n",
+              "body_MB", "legacy_min", "legacy_med", "stream_min",
+              "stream_med", "speedup", "digest_min", "digest_med",
+              "decode_min", "decode_med");
   bench::BenchReport report;
   report.bench = "micro_marshal";
   report.config = {{"warmup", static_cast<double>(warmup)},
@@ -258,14 +301,19 @@ int main(int argc, char** argv) {
                                  repeat);
     const Stats streamed = runPath(/*streamed=*/true, faulty, n, warmup,
                                    repeat);
-    const double body_mb =
-        static_cast<double>(2 * n * n * sizeof(double)) / 1e6;
-    std::printf("%8zu %12.2f %11.0f MB/s %11.0f MB/s %11.0f MB/s %11.0f MB/s %8.2fx\n",
+    const Stats digest = runLayer(Layer::Digest, n, warmup, repeat);
+    const Stats decode = runLayer(Layer::Decode, n, warmup, repeat);
+    const double body_mb = arrayPayloadMb(n);
+    std::printf("%8zu %12.2f %11.0f MB/s %11.0f MB/s %11.0f MB/s %11.0f MB/s "
+                "%8.2fx %11.0f MB/s %11.0f MB/s %11.0f MB/s %11.0f MB/s\n",
                 n, body_mb, legacy.min_mbps, legacy.median_mbps,
                 streamed.min_mbps, streamed.median_mbps,
-                streamed.median_mbps / legacy.median_mbps);
+                streamed.median_mbps / legacy.median_mbps, digest.min_mbps,
+                digest.median_mbps, decode.min_mbps, decode.median_mbps);
     report.steps.push_back(marshalStep("legacy", n, legacy, body_mb));
     report.steps.push_back(marshalStep("streamed", n, streamed, body_mb));
+    report.steps.push_back(marshalStep("digest", n, digest, body_mb));
+    report.steps.push_back(marshalStep("decode", n, decode, body_mb));
   }
   if (!json_path.empty()) {
     if (!bench::writeBenchJson(report, json_path)) {

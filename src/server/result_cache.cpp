@@ -1,5 +1,8 @@
 #include "server/result_cache.h"
 
+#include <bit>
+#include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "common/error.h"
@@ -19,6 +22,36 @@ struct Metrics {
 Metrics& metrics() {
   static Metrics m;
   return m;
+}
+
+// Odd 64-bit multipliers for the digest lanes (the xxHash64 primes).
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+
+/// The native-order 8-byte word at `p`, at any alignment.
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+/// One lane step: add the word times an odd constant, rotate, multiply by
+/// another odd constant.  For a fixed word it is a bijection of `acc`.
+std::uint64_t laneRound(std::uint64_t acc, std::uint64_t word) {
+  acc += word * kPrime2;
+  return std::rotl(acc, 31) * kPrime1;
+}
+
+/// MurmurHash3's 64-bit finalizer: a full-avalanche bijection.
+std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
 }
 
 }  // namespace
@@ -44,20 +77,41 @@ ResultCache::~ResultCache() {
 }
 
 ResultCache::Digest ResultCache::digestOf(std::span<const std::uint8_t> body) {
-  // Two FNV-1a lanes with distinct offset bases; lane b also folds in the
-  // byte position so transpositions diverge across lanes.
-  std::uint64_t a = 0xcbf29ce484222325ull;
-  std::uint64_t b = 0x84222325cbf29ce4ull;
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  std::uint64_t pos = 0;
-  for (std::uint8_t byte : body) {
-    a = (a ^ byte) * kPrime;
-    b = (b ^ (byte + (++pos & 0xff))) * kPrime;
+  // Four independent multiply-rotate lanes over 32-byte stripes, one
+  // 8-byte word per lane per stripe; the last stripe is zero-padded.
+  // Every round is a bijection of its lane for a fixed word, so a change
+  // to any single word always changes that lane's final state.
+  constexpr std::size_t kStripe = 4 * 8;
+  std::uint64_t v0 = kPrime1 + kPrime2;
+  std::uint64_t v1 = kPrime2;
+  std::uint64_t v2 = 0;
+  std::uint64_t v3 = 0 - kPrime1;
+  const auto stripe = [&](const std::uint8_t* p) {
+    v0 = laneRound(v0, load64(p));
+    v1 = laneRound(v1, load64(p + 8));
+    v2 = laneRound(v2, load64(p + 16));
+    v3 = laneRound(v3, load64(p + 24));
+  };
+  const std::size_t whole = body.size() / kStripe * kStripe;
+  for (std::size_t off = 0; off < whole; off += kStripe) {
+    stripe(body.data() + off);
   }
-  // Fold the length in so a request and its zero-padded extension differ.
-  a = (a ^ body.size()) * kPrime;
-  b = (b ^ (body.size() >> 3)) * kPrime;
-  return Digest{a, b};
+  if (whole < body.size()) {
+    std::uint8_t tail[kStripe] = {};
+    std::memcpy(tail, body.data() + whole, body.size() - whole);
+    stripe(tail);
+  }
+  // Half a sums differently rotated lanes, so one changed lane always
+  // moves it; the length is xored in, so a zero-padded extension moves it
+  // too.  Half b is an order-dependent chain over the lanes.
+  const std::uint64_t n = body.size();
+  const std::uint64_t a = std::rotl(v0, 1) + std::rotl(v1, 7) +
+                          std::rotl(v2, 12) + std::rotl(v3, 18);
+  std::uint64_t b = n * kPrime3;
+  for (const std::uint64_t v : {v0, v1, v2, v3}) {
+    b = (b ^ laneRound(0, v)) * kPrime1 + kPrime4;
+  }
+  return Digest{fmix64(a ^ n), fmix64(b)};
 }
 
 ResultCache::Payload ResultCache::eraseCompletedLocked(Map::iterator it) {

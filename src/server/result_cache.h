@@ -46,8 +46,9 @@ class ResultCache {
     double ttl_seconds = 0.0;
   };
 
-  /// 128-bit FNV-1a request digest (two independent 64-bit variants, so a
-  /// single-lane collision cannot alias two distinct requests in practice).
+  /// 128-bit request digest: a word-at-a-time multiply-rotate hash with
+  /// four lanes, finished by an avalanche mix that folds in the length.
+  /// Not cryptographic; it never leaves the server's memory.
   struct Digest {
     std::uint64_t a = 0;
     std::uint64_t b = 0;

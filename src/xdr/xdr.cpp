@@ -29,15 +29,23 @@ void encodeDoublesBE(std::span<const double> in, std::uint8_t* out) {
   }
 }
 
-/// `data` holds big-endian binary64 bytes; convert to host doubles in
-/// place.  Each element's bytes are fully read before its slot is
-/// overwritten, so the aliasing is safe.
-void decodeDoublesBEInPlace(std::span<double> data) {
-  const std::uint8_t* p = reinterpret_cast<const std::uint8_t*>(data.data());
-  for (std::size_t i = 0; i < data.size(); ++i, p += 8) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) v = (v << 8) | p[b];
-    data[i] = std::bit_cast<double>(v);
+/// Host value of the big-endian 8-byte word at `p`, at any alignment.
+std::uint64_t loadBE64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// `words` holds `count` big-endian 8-byte words; convert them to host
+/// order in place, one 8-byte load, swap and store per word.
+void wordsFromBEInPlace(void* words, std::size_t count) {
+  auto* p = static_cast<std::uint8_t*>(words);
+  for (std::size_t i = 0; i < count; ++i, p += 8) {
+    const std::uint64_t v = loadBE64(p);
+    std::memcpy(p, &v, 8);
   }
 }
 }  // namespace
@@ -208,9 +216,7 @@ std::uint64_t Source::getU64() {
   need(8);
   std::uint8_t b[8];
   readBytes(b);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | b[i];
-  return v;
+  return loadBE64(b);
 }
 
 std::int64_t Source::getI64() { return static_cast<std::int64_t>(getU64()); }
@@ -260,7 +266,7 @@ void Source::getDoubleArrayInto(std::span<double> out) {
 
 void Source::getDoublesBody(std::span<double> out) {
   readBytes({reinterpret_cast<std::uint8_t*>(out.data()), out.size() * 8});
-  decodeDoublesBEInPlace(out);
+  wordsFromBEInPlace(out.data(), out.size());
 }
 
 std::vector<std::int64_t> Source::getI64Array() {
@@ -268,13 +274,7 @@ std::vector<std::int64_t> Source::getI64Array() {
   need(static_cast<std::size_t>(count) * 8);
   std::vector<std::int64_t> out(count);
   readBytes({reinterpret_cast<std::uint8_t*>(out.data()), out.size() * 8});
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint8_t* p =
-        reinterpret_cast<const std::uint8_t*>(out.data()) + i * 8;
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) v = (v << 8) | p[b];
-    out[i] = static_cast<std::int64_t>(v);
-  }
+  wordsFromBEInPlace(out.data(), out.size());
   return out;
 }
 

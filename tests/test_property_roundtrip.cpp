@@ -3,6 +3,11 @@
 // corrupted bytes (must throw ninf errors, never crash or accept).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "idl/interface_info.h"
@@ -230,6 +235,124 @@ TEST_P(FuzzDecodeTest, CorruptedValidPayloadsThrowDontCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDecodeTest,
                          ::testing::Values(11, 22, 33, 44));
+
+/// `encoded` placed at an odd `offset` inside a larger buffer with junk on
+/// both sides, so every 8-byte word the decoder reads is misaligned.
+std::vector<std::uint8_t> embedAt(const std::vector<std::uint8_t>& encoded,
+                                  std::size_t offset) {
+  std::vector<std::uint8_t> buffer(offset + encoded.size() + 5, 0xA5);
+  std::copy(encoded.begin(), encoded.end(), buffer.begin() + offset);
+  return buffer;
+}
+
+std::vector<std::uint64_t> bitsOf(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+TEST(XdrWordProperty, DoubleArraysRoundTripFromMisalignedSource) {
+  SplitMix64 rng(0xd0b1e);
+  for (std::size_t n = 0; n <= 33; ++n) {
+    // Raw 64-bit patterns: every sign, exponent and NaN payload is fair.
+    std::vector<double> values(n);
+    for (double& v : values) v = std::bit_cast<double>(rng.next());
+    xdr::Encoder owned;
+    owned.putDoubleArray(values);
+    xdr::Encoder borrowed;
+    borrowed.putDoubleArrayRef(values);
+    const std::vector<std::uint8_t> encoded = owned.take();
+    ASSERT_EQ(borrowed.take(), encoded) << "n=" << n;
+
+    for (std::size_t offset : {1u, 3u, 5u, 7u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " offset=" + std::to_string(offset));
+      const auto buffer = embedAt(encoded, offset);
+      const std::span<const std::uint8_t> window(buffer.data() + offset,
+                                                 encoded.size());
+      xdr::Decoder whole(window);
+      EXPECT_EQ(bitsOf(whole.getDoubleArray()), bitsOf(values));
+      EXPECT_TRUE(whole.atEnd());
+
+      xdr::Decoder into(window);
+      std::vector<double> out(n, 42.0);
+      into.getDoubleArrayInto(out);
+      EXPECT_EQ(bitsOf(out), bitsOf(values));
+      EXPECT_TRUE(into.atEnd());
+    }
+  }
+}
+
+TEST(XdrWordProperty, SpecialDoublesSurviveBitExact) {
+  const std::vector<std::uint64_t> patterns = {
+      0x7ff8000000000000ull,  // quiet NaN
+      0x7ff8deadbeef0001ull,  // quiet NaN with a payload
+      0x7ff0000000000001ull,  // signalling NaN
+      0xfff4000000000abcull,  // negative signalling NaN with a payload
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000001ull,  // smallest denormal
+      0x000fffffffffffffull,  // largest denormal
+      0x800fffffffffffffull,  // negative denormal
+      0x7ff0000000000000ull,  // +inf
+      0xfff0000000000000ull,  // -inf
+  };
+  std::vector<double> values;
+  for (std::uint64_t bits : patterns) {
+    values.push_back(std::bit_cast<double>(bits));
+  }
+
+  xdr::Encoder enc;
+  enc.putDoubleArray(values);
+  for (double v : values) enc.putDouble(v);
+  const std::vector<std::uint8_t> encoded = enc.take();
+  // On the wire each value is its binary64 pattern, most significant
+  // byte first, after the 4-byte count.
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      EXPECT_EQ(encoded[4 + 8 * i + b],
+                static_cast<std::uint8_t>(patterns[i] >> (56 - 8 * b)))
+          << "value " << i << " byte " << b;
+    }
+  }
+
+  const auto buffer = embedAt(encoded, 3);
+  xdr::Decoder dec({buffer.data() + 3, encoded.size()});
+  EXPECT_EQ(bitsOf(dec.getDoubleArray()), patterns);
+  for (std::uint64_t bits : patterns) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dec.getDouble()), bits);
+  }
+  EXPECT_TRUE(dec.atEnd());
+}
+
+TEST(XdrWordProperty, I64ArraysWithNegativesRoundTripFromMisalignedSource) {
+  SplitMix64 rng(0x164);
+  for (std::size_t n = 0; n <= 33; ++n) {
+    std::vector<std::int64_t> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto magnitude = static_cast<std::int64_t>(rng.next() >> 1);
+      values[i] = i % 2 == 0 ? -magnitude : magnitude;
+    }
+    if (n >= 3) {
+      values[0] = std::numeric_limits<std::int64_t>::min();
+      values[1] = -1;
+      values[2] = std::numeric_limits<std::int64_t>::max();
+    }
+    xdr::Encoder enc;
+    enc.putI64Array(values);
+    for (std::int64_t v : values) enc.putI64(v);
+    const std::vector<std::uint8_t> encoded = enc.take();
+
+    for (std::size_t offset : {1u, 5u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " offset=" + std::to_string(offset));
+      const auto buffer = embedAt(encoded, offset);
+      xdr::Decoder dec({buffer.data() + offset, encoded.size()});
+      EXPECT_EQ(dec.getI64Array(), values);
+      for (std::int64_t v : values) EXPECT_EQ(dec.getI64(), v);
+      EXPECT_TRUE(dec.atEnd());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ninf

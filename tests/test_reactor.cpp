@@ -475,8 +475,12 @@ TEST_F(NodeReactorTest, CountsUnderItsOwnMetricRoot) {
       obs::counter("metaserver.reactor.batch.flushes").value();
   auto stream = dial();
   expectRingInfo(*stream);
-  EXPECT_GT(obs::counter("metaserver.reactor.batch.flushes").value(),
-            node_flushes);
+  // The reactor bumps the flush counter after sendvNowait returns, so the
+  // reply can reach us before the count moves.
+  EXPECT_TRUE(waitFor([&] {
+    return obs::counter("metaserver.reactor.batch.flushes").value() >
+           node_flushes;
+  }));
   EXPECT_EQ(obs::counter("server.reactor.batch.flushes").value(),
             server_flushes);
 }

@@ -2,12 +2,15 @@
 // eviction (server/result_cache.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "server/result_cache.h"
 
@@ -46,6 +49,52 @@ TEST(ResultCacheDigest, DeterministicAndCollisionResistant) {
             ResultCache::digestOf(bytesOf("ba")));
   EXPECT_NE(ResultCache::digestOf(bytesOf("")),
             ResultCache::digestOf(std::vector<std::uint8_t>{0}));
+}
+
+TEST(ResultCacheDigest, WordBoundaryPerturbationsAllDiverge) {
+  // The digest reads 8-byte words into four lanes over 32-byte stripes,
+  // with a zero-padded tail.  Lengths 0..72 put perturbations on every
+  // tail-word, lane and stripe boundary up to two stripes and a word.
+  constexpr std::size_t kWord = 8;
+  constexpr std::size_t kStripe = 32;
+  SplitMix64 rng(0xd16e57);
+  for (std::size_t len = 0; len <= 72; ++len) {
+    SCOPED_TRACE("body length " + std::to_string(len));
+    std::vector<std::uint8_t> body(len);
+    for (auto& byte : body) byte = static_cast<std::uint8_t>(rng.next());
+    const Digest base = ResultCache::digestOf(body);
+
+    for (std::size_t bit = 0; bit < len * 8; ++bit) {
+      auto flipped = body;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_NE(ResultCache::digestOf(flipped), base) << "bit " << bit;
+    }
+    for (std::size_t extra = 1; extra <= kWord; ++extra) {
+      auto extended = body;
+      extended.resize(len + extra, 0);
+      EXPECT_NE(ResultCache::digestOf(extended), base)
+          << "zero-extended by " << extra;
+    }
+    const auto expectSwapDiverges = [&](std::size_t i, std::size_t j,
+                                        std::size_t width) {
+      auto swapped = body;
+      std::swap_ranges(swapped.begin() + i, swapped.begin() + i + width,
+                       swapped.begin() + j);
+      ASSERT_NE(swapped, body) << "random contents repeated a word";
+      EXPECT_NE(ResultCache::digestOf(swapped), base)
+          << "swapped " << width << " bytes at " << i << " and " << j;
+    };
+    for (std::size_t i = 0; i + kWord <= len; i += kWord) {
+      for (std::size_t j = i + kWord; j + kWord <= len; j += kWord) {
+        expectSwapDiverges(i, j, kWord);
+      }
+    }
+    for (std::size_t i = 0; i + kStripe <= len; i += kStripe) {
+      for (std::size_t j = i + kStripe; j + kStripe <= len; j += kStripe) {
+        expectSwapDiverges(i, j, kStripe);
+      }
+    }
+  }
 }
 
 TEST(ResultCache, OwnerComputesThenHitsServeTheSamePayload) {
