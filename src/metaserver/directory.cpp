@@ -17,6 +17,10 @@ double nowSeconds() {
       .count();
 }
 
+bool named(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
 }  // namespace
 
 const char* schedulingPolicyName(SchedulingPolicy p) {
@@ -161,27 +165,12 @@ std::vector<std::string> LocalDirectory::serverNames() const {
   return names;
 }
 
-std::vector<std::size_t> LocalDirectory::indicesOf(
-    const std::vector<std::string>& names) const {
-  LockGuard lock(mutex_);
-  std::vector<std::size_t> out;
-  for (const auto& name : names) {
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (servers_[i]->entry.name == name) {
-        out.push_back(i);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 client::NinfClient& LocalDirectory::monitorOf(ServerState& state) {
   if (!state.monitor) state.monitor = state.entry.factory();
   return *state.monitor;
 }
 
-std::shared_ptr<LocalDirectory::ServerState> LocalDirectory::findByName(
+std::shared_ptr<ServerState> LocalDirectory::findByName(
     const std::string& name) const {
   LockGuard lock(mutex_);
   for (const auto& s : servers_) {
@@ -190,8 +179,7 @@ std::shared_ptr<LocalDirectory::ServerState> LocalDirectory::findByName(
   return nullptr;
 }
 
-std::vector<std::shared_ptr<LocalDirectory::ServerState>>
-LocalDirectory::states() const {
+std::vector<std::shared_ptr<ServerState>> LocalDirectory::states() const {
   LockGuard lock(mutex_);
   return servers_;
 }
@@ -267,7 +255,7 @@ void LocalDirectory::adoptLiveness(
 
 std::vector<Candidate> LocalDirectory::snapshot(
     const std::string& entry_name, std::span<const protocol::ArgValue> args,
-    const std::vector<std::size_t>& excluded) {
+    const std::vector<std::string>& excluded) {
   // RoundRobin is oblivious: no polling at all.
   if (policy_ == SchedulingPolicy::RoundRobin) return {};
 
@@ -276,14 +264,12 @@ std::vector<Candidate> LocalDirectory::snapshot(
 
   std::vector<Candidate> out;
   out.reserve(table.size());
-  for (std::size_t i = 0; i < table.size(); ++i) {
+  for (const auto& state : table) {
+    // Excluded: never picked, so don't poll it either.
+    if (named(excluded, state->entry.name)) continue;
     Candidate c;
-    c.idx = i;
-    if (std::find(excluded.begin(), excluded.end(), i) != excluded.end()) {
-      out.push_back(c);  // excluded: never picked, don't poll it either
-      continue;
-    }
-    ServerState* st = table[i].get();
+    c.state = state;
+    ServerState* st = state.get();
 
     // A declared entry list prunes without any wire I/O.
     if (!st->entry.entries.empty() &&
@@ -306,7 +292,7 @@ std::vector<Candidate> LocalDirectory::snapshot(
 
     if (have_status && !want_iface) {
       c.reachable = true;
-      out.push_back(c);
+      out.push_back(std::move(c));
       continue;
     }
 
@@ -344,37 +330,34 @@ std::vector<Candidate> LocalDirectory::snapshot(
         st->last_status_time = nowSeconds();
       }
     }
-    out.push_back(c);
+    out.push_back(std::move(c));
   }
   return out;
 }
 
-std::size_t LocalDirectory::pick(const std::string& entry_name,
-                                 const std::vector<Candidate>& candidates,
-                                 const std::vector<std::size_t>& excluded) {
+std::shared_ptr<ServerState> LocalDirectory::pick(
+    const std::string& entry_name, const std::vector<Candidate>& candidates,
+    const std::vector<std::string>& excluded) {
   bool skipped_cooling = false;
-  std::size_t picked = 0;
+  std::shared_ptr<ServerState> picked;
   {
     LockGuard lock(mutex_);
     // A server inside its post-failure cooldown window is shunned like
     // an excluded one — but only while some other candidate remains, so
     // a fully-cooling pool degrades to "try anyway" instead of failing.
     const auto now = std::chrono::steady_clock::now();
-    std::vector<std::size_t> shunned = excluded;
-    bool any_cooling = false;
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      bool cooling = false;
-      {
-        LockGuard cache(servers_[i]->mutex);
-        cooling = servers_[i]->cooldown_until > now;
-      }
-      if (cooling &&
-          std::find(excluded.begin(), excluded.end(), i) == excluded.end()) {
-        shunned.push_back(i);
-        any_cooling = true;
+    std::vector<std::string> shunned = excluded;
+    bool any_open = false;  // a server neither excluded nor cooling
+    for (const auto& s : servers_) {
+      if (named(excluded, s->entry.name)) continue;
+      LockGuard cache(s->mutex);
+      if (s->cooldown_until > now) {
+        shunned.push_back(s->entry.name);
+      } else {
+        any_open = true;
       }
     }
-    if (any_cooling && shunned.size() < servers_.size()) {
+    if (shunned.size() > excluded.size() && any_open) {
       try {
         picked = pickAmong(entry_name, candidates, shunned);
         skipped_cooling = true;
@@ -395,81 +378,67 @@ std::size_t LocalDirectory::pick(const std::string& entry_name,
   return picked;
 }
 
-std::size_t LocalDirectory::pickAmong(
+std::shared_ptr<ServerState> LocalDirectory::pickAmong(
     const std::string& entry_name, const std::vector<Candidate>& candidates,
-    const std::vector<std::size_t>& excluded) {
-  NINF_REQUIRE(!servers_.empty(), "metaserver has no servers");
-  auto isExcluded = [&](std::size_t i) {
-    return std::find(excluded.begin(), excluded.end(), i) != excluded.end();
+    const std::vector<std::string>& excluded) {
+  // Not a precondition: a Deregister may empty the table between a
+  // caller's serverCount() and this pick.
+  if (servers_.empty()) {
+    throw NotFoundError("no server registered for '" + entry_name + "'");
+  }
+  // A candidate deregistered since its snapshot is no longer eligible:
+  // the pick must not name a server whose removal was already applied.
+  auto eligible = [&](const Candidate& c) {
+    return c.reachable && c.exports && !named(excluded, c.state->entry.name) &&
+           std::find(servers_.begin(), servers_.end(), c.state) !=
+               servers_.end();
   };
-  // A declared entry list excludes a server from this entry's candidates
-  // even for the polling-free RoundRobin policy.
-  auto exportsEntry = [&](std::size_t i) {
-    const auto& entries = servers_[i]->entry.entries;
-    return entries.empty() ||
-           std::find(entries.begin(), entries.end(), entry_name) !=
-               entries.end();
-  };
-  switch (policy_) {
-    case SchedulingPolicy::RoundRobin: {
-      for (std::size_t step = 0; step < servers_.size(); ++step) {
-        const std::size_t idx = rr_next_ % servers_.size();
-        rr_next_ = (rr_next_ + 1) % servers_.size();
-        if (!isExcluded(idx) && exportsEntry(idx)) return idx;
+  if (policy_ == SchedulingPolicy::RoundRobin) {
+    // A declared entry list excludes a server from this entry's
+    // candidates even for the polling-free RoundRobin policy.
+    for (std::size_t step = 0; step < servers_.size(); ++step) {
+      const auto& s = servers_[rr_next_ % servers_.size()];
+      rr_next_ = (rr_next_ + 1) % servers_.size();
+      const auto& entries = s->entry.entries;
+      if (!named(excluded, s->entry.name) &&
+          (entries.empty() || named(entries, entry_name))) {
+        return s;
       }
-      throw NotFoundError("every server excluded for '" + entry_name + "'");
     }
-    case SchedulingPolicy::LeastLoad: {
-      std::size_t best = servers_.size();
-      double best_load = std::numeric_limits<double>::infinity();
-      for (const auto& c : candidates) {
-        if (isExcluded(c.idx) || !c.reachable || !c.exports) continue;
-        // Include calls we have routed but whose status poll may not yet
-        // reflect, so bursts spread instead of piling on one server.
-        const double load =
-            c.status.load_average + c.status.running + c.status.queued;
-        if (load < best_load) {
-          best_load = load;
-          best = c.idx;
-        }
-      }
-      if (best == servers_.size()) {
-        throw NotFoundError("no reachable server for '" + entry_name + "'");
-      }
-      return best;
-    }
-    case SchedulingPolicy::BandwidthAware: {
-      std::size_t best = servers_.size();
-      double best_eta = std::numeric_limits<double>::infinity();
-      for (const auto& c : candidates) {
-        if (isExcluded(c.idx) || !c.reachable || !c.exports) continue;
-        const auto& entry = servers_[c.idx]->entry;
-        const double eta = estimateCompletion(
-            c.bytes, c.flops, entry.bandwidth_bps, entry.perf_flops,
-            static_cast<double>(c.status.running + c.status.queued));
-        if (eta < best_eta) {
-          best_eta = eta;
-          best = c.idx;
-        }
-      }
-      if (best == servers_.size()) {
-        throw NotFoundError("no server exports '" + entry_name + "'");
-      }
-      return best;
+    throw NotFoundError("every server excluded for '" + entry_name + "'");
+  }
+  // LeastLoad and BandwidthAware: the eligible candidate scoring lowest.
+  const bool least_load = policy_ == SchedulingPolicy::LeastLoad;
+  const Candidate* best = nullptr;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (const auto& c : candidates) {
+    if (!eligible(c)) continue;
+    const double queued =
+        static_cast<double>(c.status.running + c.status.queued);
+    // LeastLoad counts calls we have routed but whose status poll may
+    // not yet reflect, so bursts spread instead of piling on one server.
+    const double score =
+        least_load ? c.status.load_average + queued
+                   : estimateCompletion(c.bytes, c.flops,
+                                        c.state->entry.bandwidth_bps,
+                                        c.state->entry.perf_flops, queued);
+    if (score < best_score) {
+      best_score = score;
+      best = &c;
     }
   }
-  throw Error("unreachable policy");
+  if (best == nullptr) {
+    throw NotFoundError((least_load ? "no reachable server for '"
+                                    : "no server exports '") +
+                        entry_name + "'");
+  }
+  return best->state;
 }
 
-Directory::Target LocalDirectory::acquireTarget(std::size_t idx) {
-  std::shared_ptr<ServerState> picked;
-  {
-    LockGuard lock(mutex_);
-    NINF_REQUIRE(idx < servers_.size(), "target index out of range");
-    picked = servers_[idx];
-  }
-  // entry is immutable and our reference keeps the state alive, so the
-  // rest needs no global lock.
+Target LocalDirectory::acquireTarget(
+    const std::shared_ptr<ServerState>& picked) {
+  // entry is immutable and the caller's reference keeps the state alive,
+  // so this needs no global lock.
   Target target;
   target.name = picked->entry.name;
   target.endpoint = picked->entry.endpoint;
@@ -482,14 +451,11 @@ Directory::Target LocalDirectory::acquireTarget(std::size_t idx) {
   return target;
 }
 
-void LocalDirectory::noteFailure(std::size_t idx, double cooldown_seconds) {
+void LocalDirectory::noteFailure(const std::string& server_name,
+                                 double cooldown_seconds) {
   if (cooldown_seconds <= 0) return;
-  std::shared_ptr<ServerState> state;
-  {
-    LockGuard lock(mutex_);
-    if (idx >= servers_.size()) return;
-    state = servers_[idx];
-  }
+  const auto state = findByName(server_name);
+  if (!state) return;
   LockGuard cache(state->mutex);
   state->cooldown_until =
       std::chrono::steady_clock::now() +

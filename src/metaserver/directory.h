@@ -4,13 +4,18 @@
 //
 // Layering (see docs/ARCHITECTURE.md, "Metaserver layering"):
 //
-//   dispatch loops (Metaserver, MetaserverNode)      — stateless policy
-//        │ Directory interface                          orchestration
+//   failover loop (metaserver.h)                     — stateless policy:
+//        │ Router: Metaserver's in-process router,     exclusion, backoff,
+//        │ or ShardedMetaserver's ScheduleQuery to     deadline
+//        │ the MetaserverNode owning the entry
 //        ▼
 //   LocalDirectory                                   — server table,
 //        │                                              status cache,
 //        ▼                                              policy selection
 //   replication (log shipping), ring (sharding)      — scale-out
+//
+// Callers name a server by its ServerState or by its name, never by its
+// position in the table: a concurrent Deregister shifts positions.
 //
 // Two write paths feed a LocalDirectory:
 //  * addServer(): the historical in-process path — caller supplies a
@@ -71,10 +76,40 @@ struct ServerEntry {
 double estimateCompletion(double bytes, double flops, double bandwidth_bps,
                           double perf_flops, double queue_depth);
 
+/// One registered server: its static entry plus the liveness cache.
+/// Held by shared_ptr: snapshot()/poll()/acquireTarget() keep using a
+/// state after a concurrent Deregister erased it from the table.
+struct ServerState {
+  /// Immutable: a re-registration replaces the whole state.
+  ServerEntry entry;
+  /// Registration epoch of the op that produced this entry (0 for
+  /// addServer) — half of the idempotency key.
+  std::uint64_t reg_epoch = 0;
+  /// Serializes network I/O on `monitor`.  Never nested inside any
+  /// other directory lock.
+  Mutex poll_mutex{"directory.poll"};
+  /// Lazy status channel, touched only while polling.
+  std::unique_ptr<client::NinfClient> monitor NINF_GUARDED_BY(poll_mutex);
+  /// Cached poll results live under a per-state mutex (not the global
+  /// table lock), so reading one server's cache never serializes
+  /// against dispatches scanning the table.  Lock order: the global
+  /// mutex_ may be held while taking this one, never the reverse.
+  mutable Mutex mutex{"directory.server"};
+  protocol::ServerStatusInfo last_status NINF_GUARDED_BY(mutex);
+  /// Steady seconds; 0 = never polled.
+  double last_status_time NINF_GUARDED_BY(mutex) = 0.0;
+  bool reachable NINF_GUARDED_BY(mutex) = false;
+  /// Calls routed here by the metaserver.
+  std::uint64_t dispatched NINF_GUARDED_BY(mutex) = 0;
+  /// Until this instant the server is shunned after a failed dispatch.
+  std::chrono::steady_clock::time_point cooldown_until
+      NINF_GUARDED_BY(mutex){};
+};
+
 /// One scheduling-round snapshot of a server, produced by snapshot()
 /// with no global lock held during I/O.
 struct Candidate {
-  std::size_t idx = 0;
+  std::shared_ptr<ServerState> state;
   bool reachable = false;
   bool exports = true;  // entry known to this server (BandwidthAware)
   double bytes = 0.0;   // wire bytes of this call (BandwidthAware)
@@ -82,57 +117,23 @@ struct Candidate {
   protocol::ServerStatusInfo status;
 };
 
+/// Everything a dispatcher needs to reach one picked server.
+struct Target {
+  std::string name;
+  std::string endpoint;
+  client::ConnectionFactory factory;
+  /// Last polled load average (for the observed-load histogram).
+  double observed_load = 0.0;
+};
+
 /// Reconstructs a connection factory from a replicated endpoint string.
 /// Must be thread-safe; called while applying ops and after promotions.
 using FactoryResolver =
     std::function<client::ConnectionFactory(const std::string& endpoint)>;
 
-/// What the dispatch layers see: a read-mostly candidate store.  Dispatch
-/// logic snapshots candidates, picks one, acquires its target, and
-/// reports failures back — it never touches server state directly.
-class Directory {
- public:
-  /// Everything a dispatcher needs to reach one picked server.
-  struct Target {
-    std::string name;
-    std::string endpoint;
-    client::ConnectionFactory factory;
-    /// Last polled load average (for the observed-load histogram).
-    double observed_load = 0.0;
-  };
-
-  virtual ~Directory() = default;
-
-  virtual SchedulingPolicy policy() const = 0;
-  virtual std::size_t serverCount() const = 0;
-
-  /// Poll every non-excluded server (honoring the freshness window) and
-  /// return the snapshot the policies decide over.  All network I/O
-  /// happens here, under per-server poll mutexes.
-  virtual std::vector<Candidate> snapshot(
-      const std::string& entry_name,
-      std::span<const protocol::ArgValue> args,
-      const std::vector<std::size_t>& excluded) = 0;
-
-  /// Policy selection over a snapshot, with cooling servers shunned
-  /// while any other candidate remains.  Throws NotFoundError when no
-  /// candidate is eligible.
-  virtual std::size_t pick(const std::string& entry_name,
-                           const std::vector<Candidate>& candidates,
-                           const std::vector<std::size_t>& excluded) = 0;
-
-  /// Resolve a picked index to its connection info and count the
-  /// dispatch against it.
-  virtual Target acquireTarget(std::size_t idx) = 0;
-
-  /// A dispatch through `idx` failed: start its cooldown window so a
-  /// flapping server is not immediately re-picked (0 disables).
-  virtual void noteFailure(std::size_t idx, double cooldown_seconds) = 0;
-};
-
 /// The concrete directory: server table + liveness cache + policies.
 /// Thread-safe; see the lock comments on each member.
-class LocalDirectory : public Directory {
+class LocalDirectory {
  public:
   explicit LocalDirectory(SchedulingPolicy policy = SchedulingPolicy::LeastLoad)
       : policy_(policy) {}
@@ -170,59 +171,38 @@ class LocalDirectory : public Directory {
   /// the world cold.  Unknown server names are ignored.
   void adoptLiveness(const std::vector<protocol::LivenessRecord>& digest);
 
-  /// Translate server names to table indices (unknown names skipped) —
-  /// the wire ScheduleQuery carries names, the picker wants indices.
-  std::vector<std::size_t> indicesOf(
-      const std::vector<std::string>& names) const;
+  // ---- scheduling: snapshot, pick, acquireTarget ----
+  SchedulingPolicy policy() const { return policy_; }
+  std::size_t serverCount() const;
 
-  // ---- Directory interface ----
-  SchedulingPolicy policy() const override { return policy_; }
-  std::size_t serverCount() const override;
-  std::vector<Candidate> snapshot(
-      const std::string& entry_name,
-      std::span<const protocol::ArgValue> args,
-      const std::vector<std::size_t>& excluded) override;
-  std::size_t pick(const std::string& entry_name,
-                   const std::vector<Candidate>& candidates,
-                   const std::vector<std::size_t>& excluded) override;
-  Target acquireTarget(std::size_t idx) override;
-  void noteFailure(std::size_t idx, double cooldown_seconds) override;
+  /// Poll every server not named in `excluded` (honoring the freshness
+  /// window) and return the snapshot the policies decide over.  All
+  /// network I/O happens here, under per-server poll mutexes.
+  std::vector<Candidate> snapshot(const std::string& entry_name,
+                                  std::span<const protocol::ArgValue> args,
+                                  const std::vector<std::string>& excluded);
+
+  /// Policy selection over a snapshot, with cooling servers shunned
+  /// while any other candidate remains.  Never returns a server whose
+  /// Deregister was applied before the pick.  Throws NotFoundError when
+  /// no candidate is eligible, an empty table included.
+  std::shared_ptr<ServerState> pick(const std::string& entry_name,
+                                    const std::vector<Candidate>& candidates,
+                                    const std::vector<std::string>& excluded);
+
+  /// Connection info of a picked server; counts the dispatch against it.
+  Target acquireTarget(const std::shared_ptr<ServerState>& picked);
+
+  /// A dispatch through server `server_name` failed: start its cooldown
+  /// window so a flapping server is not immediately re-picked (0
+  /// disables).  Unknown names are ignored.
+  void noteFailure(const std::string& server_name, double cooldown_seconds);
 
  private:
-  /// Held by shared_ptr: snapshot()/poll()/acquireTarget() keep using a
-  /// state after a concurrent Deregister erased it from the table.
-  struct ServerState {
-    /// Immutable: a re-registration replaces the whole state.
-    ServerEntry entry;
-    /// Registration epoch of the op that produced this entry (0 for
-    /// addServer) — half of the idempotency key.
-    std::uint64_t reg_epoch = 0;
-    /// Serializes network I/O on `monitor`.  Never nested inside any
-    /// other directory lock.
-    Mutex poll_mutex{"directory.poll"};
-    /// Lazy status channel, touched only while polling.
-    std::unique_ptr<client::NinfClient> monitor NINF_GUARDED_BY(poll_mutex);
-    /// Cached poll results live under a per-state mutex (not the global
-    /// table lock), so reading one server's cache never serializes
-    /// against dispatches scanning the table.  Lock order: the global
-    /// mutex_ may be held while taking this one, never the reverse.
-    mutable Mutex mutex{"directory.server"};
-    protocol::ServerStatusInfo last_status NINF_GUARDED_BY(mutex);
-    /// Steady seconds; 0 = never polled.
-    double last_status_time NINF_GUARDED_BY(mutex) = 0.0;
-    bool reachable NINF_GUARDED_BY(mutex) = false;
-    /// Calls routed here by the metaserver.
-    std::uint64_t dispatched NINF_GUARDED_BY(mutex) = 0;
-    /// Until this instant the server is shunned after a failed dispatch.
-    std::chrono::steady_clock::time_point cooldown_until
-        NINF_GUARDED_BY(mutex){};
-  };
-
   /// The raw policy switch, honoring only the explicit exclusions.
-  std::size_t pickAmong(const std::string& entry_name,
-                        const std::vector<Candidate>& candidates,
-                        const std::vector<std::size_t>& excluded)
-      NINF_REQUIRES(mutex_);
+  std::shared_ptr<ServerState> pickAmong(
+      const std::string& entry_name, const std::vector<Candidate>& candidates,
+      const std::vector<std::string>& excluded) NINF_REQUIRES(mutex_);
   /// Table mutation for apply(); counters are bumped by the caller
   /// after the lock drops.
   protocol::RegisterResult::Status applyLocked(
@@ -244,6 +224,7 @@ class LocalDirectory : public Directory {
   /// ServerState's own mutex.
   mutable Mutex mutex_{"directory.global"};
   std::vector<std::shared_ptr<ServerState>> servers_ NINF_GUARDED_BY(mutex_);
+  /// Round-robin position: a cursor over the table, not an identity.
   std::size_t rr_next_ NINF_GUARDED_BY(mutex_) = 0;
   /// Last applied (reg_epoch, kind) per endpoint — kept for endpoints
   /// whose server was deregistered too, so stale retries of either op

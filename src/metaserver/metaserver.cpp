@@ -9,12 +9,95 @@
 
 namespace ninf::metaserver {
 
+client::CallResult dispatchWithFailover(const Router& router,
+                                        client::ConnectionPool& pool,
+                                        const FailoverPolicy& policy,
+                                        const std::string& name,
+                                        std::span<const protocol::ArgValue> args,
+                                        const client::CallOptions& opts) {
+  // One span for the whole dispatch (scheduling + failover + the call):
+  // it nests under any caller span and is the parent the scheduling and
+  // session-layer spans — and, via wire propagation, the server's
+  // queue-wait/compute spans — hang from.
+  obs::Span dispatch_span("dispatch");
+  if (dispatch_span.active()) dispatch_span.setDetail(name);
+  using Clock = std::chrono::steady_clock;
+  const bool bounded = opts.deadline_seconds > 0;
+  const Clock::time_point deadline =
+      bounded ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                   std::chrono::duration<double>(
+                                       opts.deadline_seconds))
+              : Clock::time_point::max();
+  auto remaining = [&deadline] {
+    return std::chrono::duration<double>(deadline - Clock::now()).count();
+  };
+  const std::size_t budget =
+      opts.retries > 0 ? opts.retries : policy.max_failovers;
+  double backoff = policy.first_backoff;
+
+  std::vector<std::string> excluded;  // servers this call failed on
+  std::string last_error;
+  for (std::size_t attempt = 0;; ++attempt) {
+    Target target;
+    try {
+      obs::Span schedule("schedule");
+      target = router.route(name, args, excluded, deadline);
+      if (schedule.active()) {
+        schedule.setDetail(std::string(policy.label) + " -> " + target.name);
+      }
+    } catch (const NotFoundError&) {
+      // Candidates ran out mid-failover.  The root cause is the transport
+      // failures that excluded them — rethrow that, not a masking "not
+      // found" (which callers read as "entry does not exist").
+      if (excluded.empty()) throw;
+      std::string who;
+      for (const auto& n : excluded) {
+        if (!who.empty()) who += ", ";
+        who += n;
+      }
+      throw TransportError("every candidate server failed for '" + name +
+                           "' (excluded: " + who + "); last error: " +
+                           last_error);
+    }
+    client::CallOptions attempt_opts;  // one attempt; we do the retrying
+    if (bounded) {
+      attempt_opts.deadline_seconds = remaining();
+      if (attempt_opts.deadline_seconds <= 0) {
+        throw TimeoutError("dispatch of '" + name + "': deadline exceeded");
+      }
+    }
+    static obs::Counter& dispatched = obs::counter("metaserver.dispatched");
+    dispatched.add();
+    NINF_LOG(Debug) << "dispatching " << name << " to " << target.name;
+    try {
+      // Acquiring inside the try makes a refused dial fail over like a
+      // failed call.  Concurrent dispatches to one server multiplex on
+      // its shared client, which breaks only when the wire itself failed.
+      return pool.acquire(target.*policy.pool_key, target.factory)
+          ->call(name, args, attempt_opts);
+    } catch (const TransportError& e) {
+      static obs::Counter& failovers = obs::counter("metaserver.failovers");
+      failovers.add();
+      if (router.noteFailure) router.noteFailure(target);
+      if (attempt >= budget) throw;
+      last_error = e.what();
+      excluded.push_back(target.name);
+      NINF_LOG(Warn) << "failover from " << target.name << ": " << e.what();
+      if (backoff > 0) {
+        const double sleep_s = std::min(backoff, 1.0);
+        if (bounded && remaining() <= sleep_s) throw;
+        std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
+        backoff *= 2;
+      }
+    }
+  }
+}
+
 std::string Metaserver::chooseServer(
     const std::string& entry_name,
     std::span<const protocol::ArgValue> args) {
   const auto candidates = dir_.snapshot(entry_name, args, {});
-  const std::size_t idx = dir_.pick(entry_name, candidates, {});
-  return dir_.serverNames().at(idx);
+  return dir_.pick(entry_name, candidates, {})->entry.name;
 }
 
 client::CallResult Metaserver::dispatch(
@@ -25,101 +108,32 @@ client::CallResult Metaserver::dispatch(
 client::CallResult Metaserver::dispatch(const std::string& name,
                                         std::span<const protocol::ArgValue> args,
                                         const client::CallOptions& opts) {
-  // One span for the whole dispatch (scheduling + failover + the call):
-  // it nests under any caller span and is the parent the scheduling and
-  // session-layer spans — and, via wire propagation, the server's
-  // queue-wait/compute spans — hang from.
-  obs::Span dispatch_span("dispatch");
-  dispatch_span.setDetail(name);
-  using clock = std::chrono::steady_clock;
-  const bool bounded = opts.deadline_seconds > 0;
-  const clock::time_point deadline =
-      bounded ? clock::now() + std::chrono::duration_cast<clock::duration>(
-                                   std::chrono::duration<double>(
-                                       opts.deadline_seconds))
-              : clock::time_point::max();
-  const std::size_t budget =
-      opts.retries > 0 ? opts.retries : max_failovers_;
-  double backoff = failover_backoff_;
-
-  std::vector<std::size_t> failed;
-  std::vector<std::string> failed_names;
-  std::string last_error;
-  for (std::size_t attempt = 0;; ++attempt) {
-    Directory::Target target;
-    std::size_t idx;
-    try {
-      // The decision itself is the interesting latency: least-load and
-      // bandwidth-aware policies poll candidate servers (outside the
-      // table lock, cached within the freshness window).
-      obs::Span schedule("schedule");
-      const auto candidates = dir_.snapshot(name, args, failed);
-      idx = dir_.pick(name, candidates, failed);
-      target = dir_.acquireTarget(idx);
-      schedule.setDetail(std::string(schedulingPolicyName(dir_.policy())) +
-                         " -> " + target.name);
-      static obs::Histogram& observed_load =
-          obs::histogram("metaserver.observed_load");
-      observed_load.observe(target.observed_load);
-    } catch (const NotFoundError&) {
-      // Candidates ran out mid-failover.  The root cause is the transport
-      // failures that excluded them — rethrow that, not a masking
-      // "not found" (which callers read as "entry does not exist").
-      if (!failed_names.empty()) {
-        std::string who;
-        for (const auto& n : failed_names) {
-          if (!who.empty()) who += ", ";
-          who += n;
-        }
-        throw TransportError("every candidate server failed for '" + name +
-                             "' (excluded: " + who + "); last error: " +
-                             last_error);
-      }
-      throw;
-    }
-    static obs::Counter& dispatched = obs::counter("metaserver.dispatched");
-    dispatched.add();
-    NINF_LOG(Debug) << "dispatching " << name << " to " << target.name;
-    // Execute outside any directory lock, over the server's shared
-    // client: concurrent dispatches to one server multiplex on it, and a
-    // failed call breaks it only when the wire itself failed.
-    try {
-      client::CallOptions attempt_opts;  // one attempt; we do the retrying
-      if (bounded) {
-        const double remaining =
-            std::chrono::duration<double>(deadline - clock::now()).count();
-        if (remaining <= 0) {
-          throw TimeoutError("dispatch of '" + name + "': deadline exceeded");
-        }
-        attempt_opts.deadline_seconds = remaining;
-      }
-      return pool_.acquire(target.name, target.factory)
-          ->call(name, args, attempt_opts);
-    } catch (const TransportError& e) {
-      // Server crashed or unreachable: fail over (paper, section 2.4),
-      // and put the failed server in cooldown so a flapping server is
-      // not immediately re-picked once the exclusion list resets.
-      static obs::Counter& failovers = obs::counter("metaserver.failovers");
-      failovers.add();
-      dir_.noteFailure(idx, cooldown_seconds_);
-      if (attempt >= budget) throw;
-      last_error = e.what();
-      failed.push_back(idx);
-      failed_names.push_back(target.name);
-      NINF_LOG(Warn) << "failover from " << target.name << ": " << e.what();
-      if (backoff > 0) {
-        double sleep_s = std::min(backoff, 1.0);
-        if (bounded) {
-          const double remaining =
-              std::chrono::duration<double>(deadline - clock::now()).count();
-          if (remaining <= sleep_s) throw;
-          sleep_s = std::min(sleep_s, remaining);
-        }
-        std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-        backoff *= 2;
-      }
-    }
-  }
+  Router router;
+  router.route = [this](const std::string& entry,
+                        std::span<const protocol::ArgValue> call_args,
+                        const std::vector<std::string>& excluded,
+                        std::chrono::steady_clock::time_point) {
+    NINF_REQUIRE(dir_.serverCount() > 0, "metaserver has no servers");
+    // The decision itself is the interesting latency: least-load and
+    // bandwidth-aware policies poll candidate servers (outside the
+    // table lock, cached within the freshness window).
+    const auto candidates = dir_.snapshot(entry, call_args, excluded);
+    Target target = dir_.acquireTarget(dir_.pick(entry, candidates, excluded));
+    static obs::Histogram& observed_load =
+        obs::histogram("metaserver.observed_load");
+    observed_load.observe(target.observed_load);
+    return target;
+  };
+  // A failed server cools down, so the next call does not re-pick it.
+  router.noteFailure = [this](const Target& target) {
+    dir_.noteFailure(target.name, cooldown_seconds_);
+  };
+  // Keyed by name: addServer() entries carry no endpoint.
+  return dispatchWithFailover(
+      router, pool_,
+      {schedulingPolicyName(dir_.policy()), max_failovers_, failover_backoff_,
+       &Target::name},
+      name, args, opts);
 }
 
 void Metaserver::startMonitoring(std::chrono::milliseconds interval) {

@@ -15,17 +15,18 @@
 //                      bandwidth, and the polled load, then pick the
 //                      minimum.
 //
-// This class is the in-process dispatch orchestrator: the fault-tolerant
-// retry loop, the monitoring thread, and the transaction runner.  All
-// server state — the registry table, the liveness cache, and the policy
-// switch itself — lives in the LocalDirectory it owns (directory.h); the
-// dispatch loop only sees the abstract Directory interface.  The sharded
-// control plane (ring.h, replication.h, node.h) reuses the same
-// directory layer behind wire RPCs.
+// Here are the one fault-tolerant execution loop (dispatchWithFailover),
+// which ShardedMetaserver (sharded.h) shares, and the in-process
+// dispatcher: the loop over its own directory, the monitoring thread, and
+// the transaction runner.  All server state — the registry table, the
+// liveness cache, and the policy switch itself — lives in the
+// LocalDirectory it owns (directory.h).  The sharded control plane
+// (ring.h, replication.h, node.h) reuses that directory behind wire RPCs.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <string>
@@ -39,6 +40,48 @@
 #include "protocol/message.h"
 
 namespace ninf::metaserver {
+
+/// How a dispatcher chooses the server of one attempt.
+struct Router {
+  /// A server for call `name` that is not named in `excluded`.  Throws
+  /// NotFoundError when no eligible server remains.
+  std::function<Target(const std::string& name,
+                       std::span<const protocol::ArgValue> args,
+                       const std::vector<std::string>& excluded,
+                       std::chrono::steady_clock::time_point deadline)>
+      route;
+  /// The call to a routed server failed with a transport error (empty:
+  /// nothing to record).
+  std::function<void(const Target& target)> noteFailure;
+};
+
+/// A dispatcher's fixed inputs to the failover loop.
+struct FailoverPolicy {
+  /// Names the choice in the schedule span ("<label> -> <server>").
+  const char* label;
+  /// Failovers allowed when CallOptions::retries is 0.
+  std::size_t max_failovers;
+  /// First sleep between attempts, seconds; doubles per failover,
+  /// capped at 1 s.  0 disables the backoff.
+  double first_backoff;
+  /// The Target field the connection pool is keyed by.
+  std::string Target::*pool_key;
+};
+
+/// The one failover loop.  Runs `name` on the server `router` picks,
+/// over `pool`'s shared client.  After a TransportError (a refused dial
+/// included) the failed server is excluded by name and the call goes to
+/// another, until the failover budget or opts.deadline_seconds runs out.
+/// Owns the dispatch/schedule spans and the metaserver.dispatched and
+/// metaserver.failovers counters.  Candidates exhausted by failures
+/// surface as a TransportError naming every excluded server and the last
+/// error, not as the router's NotFoundError.
+client::CallResult dispatchWithFailover(const Router& router,
+                                        client::ConnectionPool& pool,
+                                        const FailoverPolicy& policy,
+                                        const std::string& name,
+                                        std::span<const protocol::ArgValue> args,
+                                        const client::CallOptions& opts);
 
 class Metaserver : public client::CallDispatcher {
  public:

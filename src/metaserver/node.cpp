@@ -217,26 +217,21 @@ MetaserverNode::Reply MetaserverNode::scheduleReply(
 
   // Failed servers reported by the client start their cooldown here, so
   // the knowledge outlives this one query and shields other clients.
-  const auto excluded = dir_.indicesOf(req.excluded);
-  for (const std::size_t idx : excluded) {
-    dir_.noteFailure(idx, opts_.cooldown_seconds);
+  for (const auto& name : req.excluded) {
+    dir_.noteFailure(name, opts_.cooldown_seconds);
   }
 
   protocol::ScheduleChoice choice;
   choice.shard_epoch = epoch_.load(std::memory_order_acquire);
-  // An empty registry falls through to the empty choice too: over the
-  // wire "no servers yet" and "no reachable candidate" look alike.
-  if (dir_.serverCount() > 0) {
-    try {
-      const auto candidates = dir_.snapshot(req.entry, {}, excluded);
-      const std::size_t idx = dir_.pick(req.entry, candidates, excluded);
-      const Directory::Target target = dir_.acquireTarget(idx);
-      choice.server_name = target.name;
-      choice.endpoint = target.endpoint;
-    } catch (const NotFoundError&) {
-      // Empty server_name = "no reachable candidate"; the client raises
-      // the typed NotFoundError on its side.
-    }
+  try {
+    const auto candidates = dir_.snapshot(req.entry, {}, req.excluded);
+    const Target target =
+        dir_.acquireTarget(dir_.pick(req.entry, candidates, req.excluded));
+    choice.server_name = target.name;
+    choice.endpoint = target.endpoint;
+  } catch (const NotFoundError&) {
+    // Empty server_name = "no reachable candidate" (an empty registry
+    // included); the client raises the typed NotFoundError on its side.
   }
   return encoded(MessageType::ScheduleReply, choice);
 }

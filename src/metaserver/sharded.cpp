@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "metaserver/metaserver.h"
 #include "protocol/message.h"
 
 namespace ninf::metaserver {
@@ -202,40 +203,27 @@ client::CallResult ShardedMetaserver::dispatch(
 client::CallResult ShardedMetaserver::dispatch(
     const std::string& name, std::span<const protocol::ArgValue> args,
     const client::CallOptions& opts) {
-  const auto deadline =
-      opts.deadline_seconds > 0
-          ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   opts.deadline_seconds))
-          : kUnbounded;
-  const std::size_t failovers =
-      opts.retries > 0 ? opts.retries : opts_.max_failovers;
-  double backoff = opts.backoff_seconds;
-  std::vector<std::string> failed;
-  for (std::size_t attempt = 0;; ++attempt) {
-    const protocol::ScheduleChoice choice = route(name, failed, deadline);
-    const auto server = data_pool_.acquire(
-        choice.endpoint, [&] { return opts_.server_dialer(choice.endpoint); });
-    try {
-      client::CallOptions sub;  // single attempt; we do our own failover
-      if (deadline != kUnbounded) {
-        sub.deadline_seconds = std::max(
-            0.001,
-            std::chrono::duration<double>(deadline - Clock::now()).count());
-      }
-      return server->call(name, args, sub);
-    } catch (const TransportError&) {
-      failed.push_back(choice.server_name);
-      if (attempt >= failovers) throw;
-      if (deadline != kUnbounded && Clock::now() >= deadline) throw;
-      NINF_LOG(Debug) << "dispatch('" << name << "'): server "
-                      << choice.server_name << " failed; failing over";
-      if (backoff > 0) {
-        boundedSleep(backoff, deadline);
-        backoff = std::min(backoff * 2, 1.0);
-      }
-    }
-  }
+  Router router;
+  router.route = [this](const std::string& entry,
+                        std::span<const protocol::ArgValue>,
+                        const std::vector<std::string>& excluded,
+                        Clock::time_point deadline) {
+    protocol::ScheduleChoice choice = route(entry, excluded, deadline);
+    Target target;
+    target.name = std::move(choice.server_name);
+    target.endpoint = std::move(choice.endpoint);
+    target.factory = [this, endpoint = target.endpoint] {
+      return opts_.server_dialer(endpoint);
+    };
+    return target;
+  };
+  // No noteFailure: a failed server's name joins the excluded list of the
+  // next ScheduleQuery, and the owning shard starts its cooldown from it.
+  return dispatchWithFailover(
+      router, data_pool_,
+      {"shard-routed", opts_.max_failovers, opts.backoff_seconds,
+       &Target::endpoint},
+      name, args, opts);
 }
 
 std::vector<protocol::RegisterResult> ShardedMetaserver::registerServer(

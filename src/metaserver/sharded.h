@@ -24,9 +24,9 @@
 // Failure envelope: route() keeps trying (primary, then backup, refresh,
 // backoff) until its deadline; with no deadline the rounds are bounded
 // so a dead cluster still surfaces a typed TransportError.  Dispatch
-// failovers across computing servers mirror the in-process metaserver:
-// a failed server's name joins the excluded list the next ScheduleQuery
-// carries, so the owning shard starts its cooldown.
+// failovers across computing servers run the in-process metaserver's
+// loop (metaserver.h): a failed server's name joins the excluded list the
+// next ScheduleQuery carries, so the owning shard starts its cooldown.
 #pragma once
 
 #include <chrono>
@@ -56,8 +56,8 @@ struct ShardedOptions {
   EndpointDialer node_dialer;
   /// Dials computing servers (data plane).
   EndpointDialer server_dialer;
-  /// Extra computing servers tried after a dispatch fails (the
-  /// in-process metaserver's failover loop, shard-routed).
+  /// Extra computing servers tried after a dispatch fails (the shared
+  /// failover loop, shard-routed).
   std::size_t max_failovers = 2;
   /// First sleep after an unsuccessful routing round; doubles per round,
   /// capped at 1 s.

@@ -174,14 +174,15 @@ class ShardCluster {
     for (auto& s : servers_) s->stop();
   }
 
-  ShardedMetaserver makeClient() {
+  ShardedMetaserver makeClient(
+      metaserver::EndpointDialer server_dialer = dialEndpoint) {
     ShardedOptions opts;
     for (const auto& s : shards_) {
       opts.seeds.push_back(s.primary_endpoint);
       opts.seeds.push_back(s.backup_endpoint);
     }
     opts.node_dialer = dialEndpoint;
-    opts.server_dialer = dialEndpoint;
+    opts.server_dialer = std::move(server_dialer);
     opts.retry_backoff = 0.005;
     return ShardedMetaserver(std::move(opts));
   }
@@ -448,6 +449,77 @@ TEST(ShardedMetaserverTest, ConcurrentDispatchesDialEachEndpointOnce) {
   // many callers overlap.
   EXPECT_DOUBLE_EQ(obs::counter("pool.misses").value() - misses_before, 2.0);
 }
+
+/// How the client's data plane fails to reach a computing server.
+enum class DeadDataPlane { RefusesDial, DropsAfterAccept };
+
+/// The shard polls both computing servers fine, but the client reaches
+/// neither: every candidate fails over, and the error must carry every
+/// excluded server and the transport root cause, like the in-process
+/// metaserver's (CooldownFixture.ExhaustedFailoverRethrowsTransportRootCause).
+class ShardedDataPlaneFailure
+    : public ::testing::TestWithParam<DeadDataPlane> {};
+
+TEST_P(ShardedDataPlaneFailure, ExhaustedFailoverRethrowsTransportRootCause) {
+  ShardCluster cluster(1);
+  {
+    auto registrar = cluster.makeClient();
+    cluster.registerServersFor(registrar, "ep");
+  }
+  // Accepts every connection and drops it at once.
+  transport::TcpListener dropper(0);
+  const std::string drop_endpoint = endpointOf(dropper.port());
+  std::thread dropping([&dropper] {
+    while (dropper.accept() != nullptr) {
+    }
+  });
+
+  std::atomic<int> dials{0};
+  const bool refuse = GetParam() == DeadDataPlane::RefusesDial;
+  auto client = cluster.makeClient(
+      [&dials, refuse, drop_endpoint](const std::string& endpoint) {
+        dials.fetch_add(1);
+        if (refuse) throw TransportError("dial refused: " + endpoint);
+        return dialEndpoint(drop_endpoint);
+      });
+  std::vector<double> sums(2), q(10);
+  auto args = epArgs(sums, q, 16);
+  CallOptions opts;
+  opts.deadline_seconds = kDeadlineSeconds;
+  opts.retries = 4;
+  opts.backoff_seconds = 0.001;
+  std::string what;
+  try {
+    client.dispatch("ep", args, opts);
+    ADD_FAILURE() << "expected TransportError";
+  } catch (const TransportError& e) {
+    what = e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "root-cause transport error masked: " << e.what();
+  }
+  dropper.close();
+  dropping.join();
+
+  EXPECT_NE(what.find("server-0"), std::string::npos) << what;
+  EXPECT_NE(what.find("server-1"), std::string::npos) << what;
+  // A dropped connection surfaces as EOF or as a reset, depending on
+  // timing; either way the root cause is the transport error.
+  EXPECT_NE(what.find(refuse ? "last error: transport: dial refused"
+                             : "last error: transport: "),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(dials.load(), 2);  // each server once, then nothing is left
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, ShardedDataPlaneFailure,
+    ::testing::Values(DeadDataPlane::RefusesDial,
+                      DeadDataPlane::DropsAfterAccept),
+    [](const ::testing::TestParamInfo<DeadDataPlane>& info) {
+      return std::string(info.param == DeadDataPlane::RefusesDial
+                             ? "RefusesDial"
+                             : "DropsAfterAccept");
+    });
 
 /// Seeded kill schedules: a dispatch storm is in flight when the owning
 /// shard's primary dies.  Every call must complete correctly or fail

@@ -325,6 +325,64 @@ TEST(DirectoryLifetime, LookupsSurviveDeregisterAndReregisterStorm) {
   srv.stop();
 }
 
+/// A Deregister applied between snapshot() and pick() must not shift the
+/// choice onto another server, nor let the pick name the removed one.
+/// The parameter is the server deregistered in between.
+class DirectoryIdentity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DirectoryIdentity, DeregisterBetweenSnapshotAndPickKeepsTheChoice) {
+  LocalDirectory dir(SchedulingPolicy::LeastLoad);
+  dir.setStatusFreshness(60.0);  // adopted statuses stay fresh: no polls
+  dir.setResolver([](const std::string&) {
+    return client::ConnectionFactory([]() -> std::unique_ptr<NinfClient> {
+      throw TransportError("this test does no wire I/O");
+    });
+  });
+  using Kind = protocol::RegistryOp::Kind;
+  auto apply = [&dir](Kind kind, const std::string& name) {
+    protocol::RegistryOp op;
+    op.kind = kind;
+    op.desc.name = name;
+    op.desc.endpoint = name + ":1";
+    op.reg_epoch = kind == Kind::Register ? 1 : 2;
+    EXPECT_EQ(dir.apply(op), protocol::RegisterResult::Status::Applied);
+  };
+  // C is the least loaded, then A, B and D.
+  const std::vector<std::pair<std::string, double>> loads = {
+      {"A", 2.0}, {"B", 3.0}, {"C", 1.0}, {"D", 4.0}};
+  std::vector<protocol::LivenessRecord> digest;
+  for (const auto& [name, load] : loads) {
+    apply(Kind::Register, name);
+    protocol::LivenessRecord rec;
+    rec.server_name = name;
+    rec.reachable = 1;
+    rec.load_average = load;
+    digest.push_back(rec);
+  }
+  dir.adoptLiveness(digest);
+
+  const auto candidates = dir.snapshot("ep", {}, {});
+  apply(Kind::Deregister, GetParam());
+  const auto target = dir.acquireTarget(dir.pick("ep", candidates, {}));
+  EXPECT_EQ(target.name, GetParam() == "C" ? "A" : "C");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Deregistered, DirectoryIdentity, ::testing::Values("A", "C"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST(DirectoryPick, EmptyTableIsNotFound) {
+  for (const auto policy :
+       {SchedulingPolicy::RoundRobin, SchedulingPolicy::LeastLoad,
+        SchedulingPolicy::BandwidthAware}) {
+    LocalDirectory dir(policy);
+    EXPECT_THROW(dir.pick("ep", {}, {}), NotFoundError)
+        << schedulingPolicyName(policy);
+  }
+}
+
 TEST(Metaserver, StopWithoutStartIsFine) {
   Metaserver meta;
   meta.stopMonitoring();
