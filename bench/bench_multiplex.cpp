@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
       // against a second in-process server with the cache disabled —
       // every call recomputes, the PR 7 behaviour — and "cache-on"
       // against the cached server, where one owner computes and the
-      // rest are served from the reactor prologue.
+      // rest are answered inline on the reactor thread.
       server::NinfServer nocache(
           registry, server::ServerOptions{.workers = cfg.workers,
                                           .cache_max_bytes = 0});

@@ -41,11 +41,18 @@ HandlerSlot& handlerSlot() {
 
 std::atomic<std::uint64_t> g_violations{0};
 
-/// Held lock-class ids of this thread, outermost first.
-thread_local std::vector<std::uint32_t> t_held;
 /// Reentrancy guard: handler callbacks (and any locking they do) must
 /// not re-enter the checker.
 thread_local bool t_busy = false;
+
+/// Held lock-class ids of this thread, outermost first.  Another
+/// thread_local's destructor may still lock at thread exit (the buffer
+/// pool flushing its thread cache) after this one is gone, so its
+/// destructor switches the checker off for the rest of the thread.
+struct HeldStack : std::vector<std::uint32_t> {
+  ~HeldStack() { t_busy = true; }
+};
+thread_local HeldStack t_held;
 
 std::uint32_t threadTag() {
   static std::atomic<std::uint32_t> next{1};

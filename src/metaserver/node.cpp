@@ -148,9 +148,9 @@ void MetaserverNode::promote() {
                  << " backup promoted to primary at epoch " << base + 1;
 }
 
-void MetaserverNode::stageFrame(std::uint64_t conn_id,
-                                protocol::WireMode mode,
-                                protocol::Frame frame) {
+common::PooledBuffer MetaserverNode::stageFrame(std::uint64_t conn_id,
+                                                protocol::WireMode mode,
+                                                protocol::Frame frame) {
   // std::function must be copyable; the frame's slab is move-only.
   auto f = std::make_shared<protocol::Frame>(std::move(frame));
   schedule_pool_->submit([this, conn_id, mode, f] {
@@ -166,6 +166,7 @@ void MetaserverNode::stageFrame(std::uint64_t conn_id,
     }
     reactor_->postFinish(conn_id, std::move(wire));
   });
+  return {};  // always staged: the query may wait on status polls
 }
 
 MetaserverNode::Reply MetaserverNode::controlReply(

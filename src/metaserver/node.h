@@ -118,8 +118,10 @@ class MetaserverNode final : private server::ReactorService {
       NINF_REACTOR_CONTEXT {
     return type == protocol::MessageType::ScheduleQuery;
   }
-  void stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
-                  protocol::Frame frame) override NINF_REACTOR_CONTEXT;
+  common::PooledBuffer stageFrame(std::uint64_t conn_id,
+                                  protocol::WireMode mode,
+                                  protocol::Frame frame) override
+      NINF_REACTOR_CONTEXT;
   Reply controlReply(protocol::MessageType type,
                      std::span<const std::uint8_t> payload) override
       NINF_REACTOR_CONTEXT;

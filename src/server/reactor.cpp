@@ -355,10 +355,17 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
                               frame.header.call_id, frame.header.trace,
                               frame.body.span()));
     } else if (service_.staged(type)) {
-      ++conn.staged_inflight;
-      ++staged_total_;
-      if (conn.mode == WireMode::V1) conn.v1_busy = true;
-      service_.stageFrame(conn.id, conn.mode, std::move(frame));
+      // A staged call's postFinish runs through the solo queue, never
+      // before this returns, so counting it afterwards is safe.
+      common::PooledBuffer reply =
+          service_.stageFrame(conn.id, conn.mode, std::move(frame));
+      if (!reply.empty()) {
+        queueReply(conn.id, std::move(reply));
+      } else {
+        ++conn.staged_inflight;
+        ++staged_total_;
+        if (conn.mode == WireMode::V1) conn.v1_busy = true;
+      }
     } else {
       // Small control messages: the service answers inline, on this
       // thread (lookups and bookkeeping, nothing that blocks).
@@ -438,11 +445,6 @@ void Reactor::finishStagedCall(std::uint64_t conn_id,
   if (!conn.dead && !conn.paused) processFrames(conn);
   resumeReads();
   maybeDestroy(conn_id);
-}
-
-bool Reactor::connAlive(std::uint64_t conn_id) const {
-  auto it = conns_.find(conn_id);
-  return it != conns_.end() && !it->second.dead;
 }
 
 void Reactor::markFlush(Conn& conn) {

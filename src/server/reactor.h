@@ -4,10 +4,11 @@
 //   ┌─────────── reactor thread (solo) ────────────┐
 //   │ epoll_wait → accept / read / write readiness │
 //   │ frame reassembly → Hello, Ping / dispatch    │
-//   │ staged-call admission (bounded in-flight)    │
+//   │ stageFrame: inline answer, or staged call    │
+//   │   admission (bounded in-flight)              │
 //   │ reply write queues → non-blocking writev     │
 //   └──────▲───────────────────────────┬───────────┘
-//          │ postSolo (eventfd wakeup) │ stageFrame
+//          │ postFinish (eventfd)      │ service's own queue
 //   ┌──────┴───────────────────────────▼───────────┐
 //   │ the service's workers: whatever may block or │
 //   │ compute, replying through postFinish         │
@@ -19,7 +20,7 @@
 //
 // The reactor thread is the only thread that touches connection state
 // (fds, reassembly buffers, write queues); workers communicate with it
-// exclusively through postSolo().  One thread serves every connection,
+// exclusively through postFinish().  One thread serves every connection,
 // so an idle connection costs one epoll registration — no reader
 // thread, no writer thread — and thread count is O(workers), not
 // O(connections).
@@ -37,9 +38,10 @@
 // socket buffers and the peer's congestion window absorb the excess.
 //
 // v1 clients are served through the same reactor with a per-connection
-// serialization fallback: a v1 frame that enters the staged pipeline
-// marks the connection busy and no further frames are parsed until its
-// reply is queued, preserving lock-step reply order.
+// serialization fallback: a v1 frame that the service stages marks the
+// connection busy and no further frames are parsed until its reply is
+// queued, preserving lock-step reply order.  Inline answers are queued
+// in frame order as they are produced, so they need no hold.
 //
 // Linux only (epoll, eventfd).
 #pragma once
@@ -65,9 +67,9 @@
 namespace ninf::server {
 
 /// What a Reactor serves.  Its methods run on the reactor thread and must
-/// not block; a frame type whose work may block is staged instead, and
-/// runs on the service's workers under an admission slot.  A handler
-/// that throws aborts its own connection only.
+/// not block; a frame whose work may block is staged instead, and runs on
+/// the service's workers under an admission slot.  A handler that throws
+/// aborts its own connection only.
 class ReactorService {
  public:
   /// An inline reply; `body` may borrow memory that `keepalive` owns.
@@ -79,10 +81,15 @@ class ReactorService {
 
   /// True when frames of `type` go to stageFrame().
   virtual bool staged(protocol::MessageType type) const = 0;
-  /// Hand one staged frame to a worker, which answers exactly once
-  /// through Reactor::postFinish (an empty reply when it failed).
-  virtual void stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
-                          protocol::Frame frame) = 0;
+  /// Take one frame of a staged type.  Either answer it at once — return
+  /// the reply frame, which the reactor queues; it holds no admission
+  /// slot and no v1 hold — or stage it and return an empty buffer: the
+  /// call is then in flight until a worker answers it exactly once
+  /// through Reactor::postFinish (an empty reply when it failed).  An
+  /// inline answer never goes through postFinish.
+  virtual common::PooledBuffer stageFrame(std::uint64_t conn_id,
+                                          protocol::WireMode mode,
+                                          protocol::Frame frame) = 0;
   /// Answer any other frame (the reactor answers Hello and Ping).
   virtual Reply controlReply(protocol::MessageType type,
                              std::span<const std::uint8_t> payload) = 0;
@@ -127,18 +134,22 @@ class Reactor {
   void adopt(std::unique_ptr<transport::Stream> stream);
 
   /// Close every connection, unblock and join the loop thread; further
-  /// postSolo() calls are dropped.  Idempotent.
+  /// postFinish() calls are dropped.  Idempotent.
   void stop();
 
-  /// Hand a task to the solo stage: `fn` runs on the reactor thread in
-  /// post order.  Thread-safe; the wakeup is coalesced (one eventfd
-  /// write per burst).  Dropped silently after stop() — a worker
-  /// finishing during shutdown has nowhere to send its reply anyway.
-  void postSolo(std::function<void()> fn);
-  /// finishStagedCall from any thread, through postSolo.
+  /// Answer one staged call of `conn_id` from any thread.  On the
+  /// reactor thread `reply` is queued (empty = the call failed: close
+  /// the connection), the call's admission slot and v1 hold are
+  /// released, and paused reads resume.  Dropped when the connection is
+  /// gone, and after stop() — a worker finishing during shutdown has
+  /// nowhere to send its reply anyway.
   void postFinish(std::uint64_t conn_id, common::PooledBuffer reply);
 
-  // ---- reactor-thread-only API (solo tasks, frame handlers) ---------
+ private:
+  /// Hand a task to the solo stage: `fn` runs on the reactor thread in
+  /// post order.  Thread-safe; the wakeup is coalesced (one eventfd
+  /// write per burst).  Dropped silently after stop().
+  void postSolo(std::function<void()> fn);
 
   /// Append one marshalled frame to `conn_id`'s write queue.  The
   /// actual writev is deferred to the end of the current loop iteration
@@ -148,17 +159,10 @@ class Reactor {
   /// bookkeeping.
   void queueReply(std::uint64_t conn_id, common::PooledBuffer frame);
 
-  /// Complete one staged call on `conn_id`: queue `reply` (empty = the
-  /// handler failed: close the connection), release its admission slot,
-  /// lift the v1 lock-step hold, and resume paused reads if allowed.
+  /// Complete one staged call on `conn_id` (postFinish, on the reactor
+  /// thread).
   void finishStagedCall(std::uint64_t conn_id, common::PooledBuffer reply);
 
-  /// True while `conn_id` can still receive replies (known and not
-  /// write-dead).  Lets an admission task skip compute for a vanished
-  /// client.
-  bool connAlive(std::uint64_t conn_id) const;
-
- private:
   /// One queued reply frame.  `off` is the flushed prefix: a short
   /// sendvNowait advances it in place, so a retry resumes exactly where
   /// the kernel stopped — a slow reader sees each byte once even when a

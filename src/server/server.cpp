@@ -224,16 +224,9 @@ NinfServer::ReplyPayload errorReply(const std::string& message) {
   return {std::move(enc), nullptr, /*ok=*/false};
 }
 
-/// Frames dispatched but not yet through admission; moved on the
-/// reactor thread only.
-void addPrologueDepth(double delta) {
-  static obs::Gauge& g = obs::gauge("server.reactor.stage_depth.prologue");
-  g.set(std::max(0.0, g.value() + delta));
-}
-
 /// Alloc-free peek at the entry name leading a CallRequest body (XDR
 /// string: big-endian u32 length, then the bytes).  Empty on malformed
-/// input — the prologue's full decode produces the real error then.
+/// input — the full decode produces the real error then.
 std::string_view peekCallName(std::span<const std::uint8_t> body) {
   if (body.size() < 4) return {};
   const std::uint32_t len = (std::uint32_t{body[0]} << 24) |
@@ -251,6 +244,23 @@ ResultCache::Payload materializeReply(const NinfServer::ReplyPayload& reply) {
   bytes->reserve(reply.body.size());
   reply.body.appendTo(*bytes);
   return bytes;
+}
+
+/// Frame a cached (or owner-aborted) idempotent reply in this caller's
+/// own header: the shared payload carries no call id or trace context.
+common::PooledBuffer cachedReplyFrame(protocol::WireMode mode,
+                                      const protocol::FrameHeader& header,
+                                      const ResultCache::Payload& payload) {
+  if (payload) {
+    return protocol::frameFromPayload(mode, MessageType::CallReply,
+                                      header.call_id, header.trace,
+                                      {payload->data(), payload->size()});
+  }
+  // Owner aborted (server shutdown): fail the call explicitly rather
+  // than leaving the client to time out.
+  return protocol::flattenFramePooled(
+      mode, MessageType::CallReply, header.call_id, header.trace,
+      errorReply("idempotent call aborted before completion").body);
 }
 
 /// Worker-side execution of a prepared call: the shared body of the
@@ -318,44 +328,26 @@ NinfServer::ReplyPayload runPreparedCall(ServerMetrics& metrics,
 
 // ----------------------------------------------------------------- reactor
 // Staged pipeline behind the epoll reactor (see reactor.h).  A complete
-// call frame flows:
+// call frame flows through two stages:
 //
-//   dispatch (reactor)  -> stageFrame: queue a prologue job
-//   prologue (worker)   -> reactorPrologue: unmarshal args, stateless
-//   solo     (reactor)  -> admission: job-queue entry, pending table,
-//                          SubmitAck emission — all the shared state
-//   compute  (worker)   -> runPreparedCall, then the epilogue marshals
-//                          the reply into one self-contained buffer
-//   solo     (reactor)  -> finishStagedCall: write queue + flush
+//   admission (reactor) -> stageFrame: name peek, cache digest and
+//                          lookup, argument decode, then the inline
+//                          answer (cache hit, decode error, SubmitAck)
+//                          or the compute job push — T_enqueue
+//   compute   (worker)  -> runPreparedCall, then the epilogue marshals
+//                          the reply into one self-contained buffer and
+//                          hands it back through postFinish
 //
-// The solo hops serialize every touch of connection and admission state
-// on the reactor thread, so the stages themselves need no locks beyond
-// the ones they already take (queue, pending table).
+// Admission touches the shared state (cache, job queue, pending table)
+// only under their own leaf locks, and never waits on a worker.  Its
+// per-byte work is the digest plus the decode: about 0.16 ms for
+// linpack_lan's 526 KB body (4-CPU x86-64 host), during which the
+// reactor serves no other connection.  The frame's slab dies on the
+// reactor thread, so the next frame reuses it from the thread cache.
 
-void NinfServer::stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
-                            protocol::Frame frame) {
-  addPrologueDepth(1.0);
-  Job job;
-  job.id = next_job_id_.fetch_add(1);
-  // The prologue's per-byte work is small next to compute: digest plus
-  // argument decode of linpack_lan's 526 KB body take about 0.16 ms
-  // against about 2 ms of n=256 LU (4-CPU x86-64 host).  Zero flops lets
-  // SJF run prologues ahead of queued compute so admission stays
-  // responsive.
-  job.estimated_flops = 0.0;
-  job.enqueue_time = metrics_.now();
-  // Job::run is a copyable std::function; the frame's slab is move-only,
-  // so it rides across in a shared_ptr.
-  job.run = [this, conn_id, mode,
-             f = std::make_shared<protocol::Frame>(std::move(frame))]() {
-    reactorPrologue(conn_id, mode, std::move(*f));
-  };
-  queue_.push(std::move(job));
-}
-
-void NinfServer::reactorPrologue(std::uint64_t conn_id,
-                                 protocol::WireMode mode,
-                                 protocol::Frame frame) {
+common::PooledBuffer NinfServer::stageFrame(std::uint64_t conn_id,
+                                            protocol::WireMode mode,
+                                            protocol::Frame frame) {
   const protocol::FrameHeader header = frame.header;
   const bool is_submit = header.type == MessageType::SubmitRequest;
   // Adopt the client's propagated context so the unmarshal span (and the
@@ -364,10 +356,10 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
       obs::TraceContext{header.trace.trace_id, header.trace.parent_span});
 
   // Idempotent-cache fast path, decided before unmarshalling: a hit or
-  // an in-flight join skips the prologue decode, the queue, and the
-  // compute entirely — the admission slot is released when the cached
-  // reply reaches finishStagedCall (for a waiter, when the owner
-  // fulfills; the call genuinely is in flight until then).
+  // an in-flight join skips the decode, the queue, and the compute
+  // entirely.  A hit is answered here; a waiter stays staged (in flight,
+  // holding its admission slot) until the owner's fulfill posts its
+  // reply.
   ResultCache::Digest digest{};
   bool cache_owner = false;
   if (!is_submit && cache_) {
@@ -376,17 +368,12 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
       digest = ResultCache::digestOf(frame.body.span());
       const ResultCache::Lookup lookup = cache_->lookupOrJoin(
           digest, [this, conn_id, mode, header](ResultCache::Payload p) {
-            sendCachedReply(conn_id, mode, header, std::move(p));
+            reactor_->postFinish(conn_id, cachedReplyFrame(mode, header, p));
           });
-      if (lookup.role != ResultCache::Role::Owner) {
-        // Prologue over for this frame; rebalance the stage gauge on its
-        // owning thread.
-        reactor_->postSolo([] { addPrologueDepth(-1.0); });
-        if (lookup.role == ResultCache::Role::Hit) {
-          sendCachedReply(conn_id, mode, header, std::move(lookup.payload));
-        }
-        return;
+      if (lookup.role == ResultCache::Role::Hit) {
+        return cachedReplyFrame(mode, header, lookup.payload);
       }
+      if (lookup.role == ResultCache::Role::Waiter) return {};
       cache_owner = true;
     }
   }
@@ -405,127 +392,81 @@ void NinfServer::reactorPrologue(std::uint64_t conn_id,
     }
   }
 
-  // Solo stage: admission runs on the reactor thread, where connection
-  // liveness and the in-flight budget are plain fields.
-  reactor_->postSolo([this, conn_id, mode, header, is_submit, call,
-                      cache_owner, digest,
-                      error = std::move(error)]() mutable {
-    addPrologueDepth(-1.0);
+  const std::uint64_t id = next_job_id_.fetch_add(1);
+  if (is_submit) {
+    // Two-phase: the job detaches from the connection — it runs (or
+    // records its decode error) under `id` even if the client is gone,
+    // and the SubmitAck is this frame's inline answer.
+    std::size_t depth = 0;
+    {
+      LockGuard lock(pending_mutex_);
+      pending_.emplace(id, error.empty() ? PendingResult{}
+                                         : PendingResult{true, metrics_.now(),
+                                                         errorReply(error)});
+      depth = pending_.size();
+    }
+    updatePendingGauge(depth);
+  } else if (!error.empty()) {
+    // Every lookup runs on this thread, so an owner that fails here has
+    // no waiters yet: fulfill only retires its in-flight entry.
+    ReplyPayload err = errorReply(error);
+    if (cache_owner) cache_->fulfill(digest, materializeReply(err), false);
+    return protocol::flattenFramePooled(mode, MessageType::CallReply,
+                                        header.call_id, header.trace,
+                                        err.body);
+  }
 
-    if (is_submit) {
-      // Two-phase: the job detaches from the connection — it runs (or
-      // records its decode error) under a fresh id even if the client is
-      // already gone, and the SubmitAck is this staged call's reply.
-      const std::uint64_t id = next_job_id_.fetch_add(1);
-      std::size_t depth = 0;
-      {
-        LockGuard lock(pending_mutex_);
-        pending_.emplace(id, PendingResult{});
-        depth = pending_.size();
-      }
-      updatePendingGauge(depth);
-      if (!error.empty()) {
-        LockGuard lock(pending_mutex_);
-        pending_[id] = {true, metrics_.now(), errorReply(error)};
-      } else {
-        metrics_.jobQueued();
-        Job job;
-        job.id = id;
-        job.estimated_flops = call->estimated_flops;
-        job.enqueue_time = metrics_.now();
-        job.run = [this, id, call, enqueue = job.enqueue_time]() mutable {
-          ReplyPayload reply = runPreparedCall(metrics_, *call, enqueue);
-          reply.keepalive = call;
-          LockGuard lock(pending_mutex_);
-          pending_[id] = {true, metrics_.now(), std::move(reply)};
-        };
-        queue_.push(std::move(job));
-      }
-      xdr::Encoder ack;
-      ack.putU64(id);
-      reactor_->finishStagedCall(
-          conn_id, protocol::flattenFramePooled(mode, MessageType::SubmitAck,
-                                                header.call_id, header.trace,
-                                                ack));
-      return;
-    }
-
-    if (!error.empty()) {
-      ReplyPayload err = errorReply(error);
-      if (cache_owner) cache_->fulfill(digest, materializeReply(err), false);
-      reactor_->finishStagedCall(
-          conn_id,
-          protocol::flattenFramePooled(mode, MessageType::CallReply,
-                                       header.call_id, header.trace,
-                                       err.body));
-      return;
-    }
-    if (!cache_owner && !reactor_->connAlive(conn_id)) {
-      // The client vanished while the frame sat in prologue: skip the
-      // compute entirely (finishStagedCall on a dead id is a no-op; the
-      // admission slot was released when the connection was destroyed).
-      // A cache owner never skips: waiters on other connections may be
-      // parked on this digest, and fulfill() must happen exactly once.
-      return;
-    }
+  if (error.empty()) {
     metrics_.jobQueued();
     Job job;
-    job.id = next_job_id_.fetch_add(1);
+    job.id = id;
     job.estimated_flops = call->estimated_flops;
     job.enqueue_time = metrics_.now();
-    job.run = [this, conn_id, mode, header, call, cache_owner, digest,
-               enqueue = job.enqueue_time]() mutable {
-      obs::ScopedTraceContext job_trace_scope(
-          obs::TraceContext{header.trace.trace_id, header.trace.parent_span});
-      ReplyPayload reply =
-          runPreparedCall(metrics_, *call, enqueue, header.call_id);
-      // Epilogue, still on this worker: marshal the reply into one
-      // self-contained wire buffer (borrowed OUT arrays are byteswapped
-      // into the copy), so nothing of the prepared call needs to
-      // survive the hop back to the reactor.
-      common::PooledBuffer wire;
-      {
-        obs::Span span(obs::phase::kServerMarshalResult);
-        span.setCallId(header.call_id);
-        if (cache_owner) {
-          // Materialize once: the cache retains the shared payload and
-          // every waiter (and this caller) frames the same bytes.
-          ResultCache::Payload payload = materializeReply(reply);
-          cache_->fulfill(digest, payload, reply.ok);
-          wire = protocol::frameFromPayload(mode, MessageType::CallReply,
-                                            header.call_id, header.trace,
-                                            {payload->data(),
-                                             payload->size()});
-        } else {
-          wire = protocol::flattenFramePooled(mode, MessageType::CallReply,
-                                              header.call_id, header.trace,
-                                              reply.body);
+    if (is_submit) {
+      job.run = [this, id, call, enqueue = job.enqueue_time]() mutable {
+        ReplyPayload reply = runPreparedCall(metrics_, *call, enqueue);
+        reply.keepalive = call;
+        LockGuard lock(pending_mutex_);
+        pending_[id] = {true, metrics_.now(), std::move(reply)};
+      };
+    } else {
+      job.run = [this, conn_id, mode, header, call, cache_owner, digest,
+                 enqueue = job.enqueue_time]() mutable {
+        obs::ScopedTraceContext job_trace_scope(obs::TraceContext{
+            header.trace.trace_id, header.trace.parent_span});
+        ReplyPayload reply =
+            runPreparedCall(metrics_, *call, enqueue, header.call_id);
+        // Epilogue, still on this worker: marshal the reply into one
+        // self-contained wire buffer (borrowed OUT arrays are
+        // byteswapped into the copy), so nothing of the prepared call
+        // needs to survive the hop back to the reactor.
+        common::PooledBuffer wire;
+        {
+          obs::Span span(obs::phase::kServerMarshalResult);
+          span.setCallId(header.call_id);
+          if (cache_owner) {
+            // Materialize once: the cache retains the shared payload and
+            // every waiter (and this caller) frames the same bytes.
+            ResultCache::Payload payload = materializeReply(reply);
+            cache_->fulfill(digest, payload, reply.ok);
+            wire = cachedReplyFrame(mode, header, payload);
+          } else {
+            wire = protocol::flattenFramePooled(mode, MessageType::CallReply,
+                                                header.call_id, header.trace,
+                                                reply.body);
+          }
+          span.setBytes(static_cast<std::int64_t>(wire.size()));
         }
-        span.setBytes(static_cast<std::int64_t>(wire.size()));
-      }
-      reactor_->postFinish(conn_id, std::move(wire));
-    };
+        reactor_->postFinish(conn_id, std::move(wire));
+      };
+    }
     queue_.push(std::move(job));
-  });
-}
-
-void NinfServer::sendCachedReply(std::uint64_t conn_id,
-                                 protocol::WireMode mode,
-                                 const protocol::FrameHeader& header,
-                                 ResultCache::Payload payload) {
-  common::PooledBuffer wire;
-  if (payload) {
-    wire = protocol::frameFromPayload(mode, MessageType::CallReply,
-                                      header.call_id, header.trace,
-                                      {payload->data(), payload->size()});
-  } else {
-    // Owner aborted (server shutdown): fail the call explicitly rather
-    // than leaving the client to time out.
-    wire = protocol::flattenFramePooled(
-        mode, MessageType::CallReply, header.call_id, header.trace,
-        errorReply("idempotent call aborted before completion").body);
   }
-  reactor_->postFinish(conn_id, std::move(wire));
+  if (!is_submit) return {};
+  xdr::Encoder ack;
+  ack.putU64(id);
+  return protocol::flattenFramePooled(mode, MessageType::SubmitAck,
+                                      header.call_id, header.trace, ack);
 }
 
 }  // namespace ninf::server

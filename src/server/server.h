@@ -6,12 +6,14 @@
 //
 // Threading model: ONE epoll reactor thread (see reactor.h) serves every
 // connection — accepted from the start()ed listener or handed over with
-// adopt() — and feeds a staged prologue/solo/epilogue pipeline over the
-// fixed pool of `workers` execution threads, so the total thread count
-// is O(workers), not O(connections).  workers == 1 is the paper's
-// data-parallel configuration (calls run one at a time, each free to
-// use every PE internally); workers == P is the task-parallel
-// configuration (up to P calls run concurrently, one PE each).
+// adopt() — decodes and admits every call itself, and feeds compute and
+// reply marshalling to the fixed pool of `workers` execution threads, so
+// the total thread count is O(workers), not O(connections).  A call's
+// T_enqueue is its entry into the compute queue: decode is already done.
+// workers == 1 is the paper's data-parallel configuration (calls run one
+// at a time, each free to use every PE internally); workers == P is the
+// task-parallel configuration (up to P calls run concurrently, one PE
+// each).
 //
 // Connections speak protocol v1 (lock-step) by default.  A client that
 // opens with Hello is upgraded to v2: replies then leave as jobs finish
@@ -114,31 +116,21 @@ class NinfServer final : private ReactorService {
     return type == protocol::MessageType::CallRequest ||
            type == protocol::MessageType::SubmitRequest;
   }
-  /// Reactor staged pipeline, stage 1 of 3 (reactor thread): hand a
-  /// complete CallRequest/SubmitRequest frame from `conn_id` to the
-  /// worker pool for stateless argument unmarshalling (prologue).
-  void stageFrame(std::uint64_t conn_id, protocol::WireMode mode,
-                  protocol::Frame frame) override NINF_REACTOR_CONTEXT;
-  /// Stage 2 runs back on the reactor thread via postSolo (admission:
-  /// job-queue entry, pending-result bookkeeping); stage 3 (compute +
-  /// reply marshalling, the epilogue) fans out across the workers again.
-  /// Both are lambdas inside reactorPrologue.
-  void reactorPrologue(std::uint64_t conn_id, protocol::WireMode mode,
-                       protocol::Frame frame);
+  /// Reactor staged pipeline, stage 1 of 2 (reactor thread): admit a
+  /// complete CallRequest/SubmitRequest frame from `conn_id` — cache
+  /// lookup, argument decode, then either the inline answer (cache hit,
+  /// decode error, SubmitAck) or the compute job push, whose worker runs
+  /// stage 2 (compute + reply marshalling, the epilogue).
+  common::PooledBuffer stageFrame(std::uint64_t conn_id,
+                                  protocol::WireMode mode,
+                                  protocol::Frame frame) override
+      NINF_REACTOR_CONTEXT;
 
   /// Compute the reply to a small control message (everything but
   /// CallRequest/SubmitRequest), framing-agnostic.
   Reply controlReply(protocol::MessageType type,
                      std::span<const std::uint8_t> payload) override
       NINF_REACTOR_CONTEXT;
-
-  /// Emit a cached (or owner-aborted) idempotent reply for a
-  /// reactor-staged call: wraps the shared payload in this caller's own
-  /// frame header and hands it to the reactor thread.  Callable from any
-  /// thread (cache-fulfill callbacks run on the owner's worker).
-  void sendCachedReply(std::uint64_t conn_id, protocol::WireMode mode,
-                       const protocol::FrameHeader& header,
-                       ResultCache::Payload payload);
 
   /// Drop ready-but-unfetched results older than the TTL.
   void sweepPending();

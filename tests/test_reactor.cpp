@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "metaserver/node.h"
 #include "numlib/ep.h"
 #include "obs/metrics.h"
+#include "protocol/call_marshal.h"
 #include "protocol/message.h"
 #include "server/server.h"
 #include "transport/inproc_transport.h"
@@ -343,6 +345,264 @@ TEST(ReactorAdopt, StopFailsPendingCallWithTransportError) {
                                           start)
                 .count(),
             5.0);
+}
+
+// ---- admission on the reactor: decode and inline answers ------------------
+
+/// `nap(ms)` sleeps for `ms` on its worker, or until `cut` is set.
+struct Nap {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> cut{false};
+};
+
+void registerNap(Registry& registry, Nap& nap) {
+  registry.add(
+      R"IDL(Define nap(mode_in long ms, mode_out double echo[1])
+         Calls "C" nap(ms, echo);)IDL",
+      [&nap](server::CallContext& ctx) {
+        nap.entered = true;
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(ctx.intArg("ms"));
+        while (!nap.cut && std::chrono::steady_clock::now() < until) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ctx.arrayOut("echo")[0] = 1.0;
+      });
+}
+
+TEST(ReactorInline, LargeFrameSlabsAreReusedOnTheReactor) {
+  // Every call body is 600 KB, a 1 MiB-class slab acquired by the
+  // reactor for reassembly.  Freed on that same thread after decode, it
+  // is back in the thread cache for the next frame.  Freed on a worker,
+  // it would park in that worker's cache (up to 8 per thread) while the
+  // reactor allocates fresh slabs.
+  Registry registry;
+  registry.add(
+      R"IDL(Define vsum(mode_in long n, mode_in double x[n],
+                        mode_out double s[1])
+         Calls "C" vsum(n, x, s);)IDL",
+      [](server::CallContext& ctx) {
+        double sum = 0.0;
+        for (const double v : ctx.arrayIn("x")) sum += v;
+        ctx.arrayOut("s")[0] = sum;
+      });
+  NinfServer server(registry, {.workers = 2});
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  server.start(listener);
+  auto client = NinfClient::connectTcp("127.0.0.1", listener->port());
+
+  constexpr std::int64_t kN = 75000;
+  const std::vector<double> x(kN, 1.0);
+  std::vector<double> s(1);
+  const auto call = [&] {
+    std::vector<protocol::ArgValue> args = {protocol::ArgValue::inInt(kN),
+                                            protocol::ArgValue::inArray(x),
+                                            protocol::ArgValue::outArray(s)};
+    client->call("vsum", args);
+    EXPECT_DOUBLE_EQ(s[0], static_cast<double>(kN));
+  };
+  call();
+  call();
+  obs::Counter& misses = obs::counter("pool.buffers.misses");
+  const std::uint64_t before = misses.value();
+  for (int i = 0; i < 32; ++i) call();
+  EXPECT_LE(misses.value() - before, 8u);
+  client->close();
+  server.stop();
+}
+
+TEST(ReactorInline, FcfsSubmitIsAdmittedWhileTheWorkerComputes) {
+  // Decode happens on the reactor, not in the FCFS compute queue, so a
+  // new call is admitted (and its SubmitAck sent) while the only worker
+  // is busy; its T_enqueue is its entry into that queue.
+  Registry registry;
+  Nap nap;
+  registerNap(registry, nap);
+  NinfServer server(registry, {.workers = 1});
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  server.start(listener);
+  auto busy = NinfClient::connectTcp("127.0.0.1", listener->port());
+  auto submitter = NinfClient::connectTcp("127.0.0.1", listener->port());
+  submitter->queryInterface("nap");
+
+  auto held = std::async(std::launch::async, [&busy] {
+    std::vector<double> echo(1);
+    std::vector<protocol::ArgValue> args = {
+        protocol::ArgValue::inInt(300), protocol::ArgValue::outArray(echo)};
+    busy->call("nap", args);
+    return echo[0];
+  });
+  ASSERT_TRUE(waitFor([&] { return nap.entered.load(); }));
+
+  std::vector<double> echo(1);
+  std::vector<protocol::ArgValue> args = {protocol::ArgValue::inInt(1),
+                                          protocol::ArgValue::outArray(echo)};
+  const auto start = std::chrono::steady_clock::now();
+  const client::JobHandle handle = submitter->submit("nap", args);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            0.1);
+  EXPECT_DOUBLE_EQ(held.get(), 1.0);
+  EXPECT_TRUE(waitFor([&] { return submitter->fetch(handle, args).has_value(); }));
+  EXPECT_DOUBLE_EQ(echo[0], 1.0);
+  busy->close();
+  submitter->close();
+  server.stop();
+}
+
+TEST(ReactorInline, PipelinedInlineAnswersKeepOrderAndConnections) {
+  // Cache hits, decode errors (unknown entry, truncated arguments) and
+  // SubmitAcks are answered on the reactor thread.  While the only
+  // worker is held, a burst of them written in one send must still be
+  // answered in full: in frame order on v1, once per call id on v2, with
+  // both connections left open.
+  Registry registry;
+  Nap nap;
+  registerNap(registry, nap);
+  registry.add(
+      R"IDL(Define idem(mode_in long n, mode_in double A[n],
+                        mode_out double B[n])
+         Idempotent,
+         Calls "C" idem(n, A, B);)IDL",
+      [](server::CallContext& ctx) {
+        const auto in = ctx.arrayIn("A");
+        auto out = ctx.arrayOut("B");
+        for (std::size_t i = 0; i < in.size(); ++i) out[i] = 2.0 * in[i];
+      });
+  NinfServer server(registry, {.workers = 1});
+  auto listener = std::make_shared<transport::TcpListener>(0);
+  server.start(listener);
+  const auto port = listener->port();
+  const auto dial = [port] {
+    auto stream = transport::tcpConnect("127.0.0.1", port);
+    stream->setDeadlineIn(5.0);
+    return stream;
+  };
+
+  const std::vector<double> in = {1.0, 2.0, 3.0, 4.0};
+  std::vector<double> out(in.size());
+  const std::vector<protocol::ArgValue> idem_args = {
+      protocol::ArgValue::inInt(4), protocol::ArgValue::inArray(in),
+      protocol::ArgValue::outArray(out)};
+  {
+    auto warm = NinfClient::connectTcp("127.0.0.1", port);
+    warm->call("idem", idem_args);  // the burst's idem calls now hit
+    warm->close();
+  }
+  auto busy = NinfClient::connectTcp("127.0.0.1", port);
+  auto held = std::async(std::launch::async, [&busy] {
+    std::vector<double> echo(1);
+    std::vector<protocol::ArgValue> args = {
+        protocol::ArgValue::inInt(10000), protocol::ArgValue::outArray(echo)};
+    busy->call("nap", args);
+  });
+  ASSERT_TRUE(waitFor([&] { return nap.entered.load(); }));
+
+  // Frame i carries kind i % 4.
+  enum Kind { kHit, kUnknown, kSubmit, kTruncated };
+  constexpr int kFrames = 12;
+  std::vector<double> echo(1);
+  const std::vector<protocol::ArgValue> nap_args = {
+      protocol::ArgValue::inInt(1), protocol::ArgValue::outArray(echo)};
+  const xdr::Encoder hit =
+      protocol::buildCallRequest(registry.find("idem").info, idem_args);
+  const xdr::Encoder submit =
+      protocol::buildCallRequest(registry.find("nap").info, nap_args);
+  xdr::Encoder unknown;
+  unknown.putString("nosuch");
+  xdr::Encoder truncated;  // n, but no array: misses the cache, fails decode
+  truncated.putString("idem");
+  truncated.putI64(4);
+  const auto burst = [&](protocol::WireMode mode) {
+    std::vector<std::uint8_t> wire;
+    for (int i = 0; i < kFrames; ++i) {
+      const Kind kind = static_cast<Kind>(i % 4);
+      const xdr::Encoder& body = kind == kHit       ? hit
+                                 : kind == kUnknown ? unknown
+                                 : kind == kSubmit  ? submit
+                                                    : truncated;
+      const auto frame = protocol::flattenFrame(
+          mode,
+          kind == kSubmit ? MessageType::SubmitRequest
+                          : MessageType::CallRequest,
+          static_cast<std::uint64_t>(i + 1), {}, body);
+      wire.insert(wire.end(), frame.begin(), frame.end());
+    }
+    return wire;
+  };
+  const auto expectAnswer = [](Kind kind, MessageType type,
+                               std::span<const std::uint8_t> payload) {
+    if (kind == kSubmit) {
+      EXPECT_EQ(type, MessageType::SubmitAck);
+      return;
+    }
+    ASSERT_EQ(type, MessageType::CallReply);
+    xdr::Decoder dec(payload);
+    EXPECT_EQ(dec.getU32(), kind == kHit ? 0u : 1u) << "status of kind "
+                                                     << kind;
+  };
+
+  auto v1 = dial();
+  auto v2 = dial();
+  xdr::Encoder hello;
+  hello.putU32(protocol::kVersion2);
+  protocol::sendMessage(*v2, MessageType::Hello, hello);
+  ASSERT_EQ(protocol::recvMessage(*v2).type, MessageType::HelloAck);
+  ASSERT_TRUE(waitFor([] { return reactorFds() == 3.0; }))
+      << "fds gauge " << reactorFds();
+
+  v1->sendAll(burst(protocol::WireMode::V1));
+  v2->sendAll(burst(protocol::WireMode::V2));
+  for (int i = 0; i < kFrames; ++i) {
+    const protocol::Message reply = protocol::recvMessage(*v1);
+    expectAnswer(static_cast<Kind>(i % 4), reply.type, reply.payload);
+  }
+  std::set<std::uint64_t> answered;
+  for (int i = 0; i < kFrames; ++i) {
+    const protocol::FrameHeader header = protocol::recvHeaderV2(*v2);
+    std::vector<std::uint8_t> body(header.length);
+    v2->recvAll(body);
+    ASSERT_GE(header.call_id, 1u);
+    ASSERT_LE(header.call_id, static_cast<std::uint64_t>(kFrames));
+    EXPECT_TRUE(answered.insert(header.call_id).second)
+        << "call " << header.call_id << " answered twice";
+    expectAnswer(static_cast<Kind>((header.call_id - 1) % 4), header.type,
+                 body);
+  }
+  // No extra reply is queued ahead of the Pongs, and neither connection
+  // was closed.
+  const std::vector<std::uint8_t> token = {4, 2};
+  protocol::sendMessage(*v1, MessageType::Ping, token);
+  EXPECT_EQ(protocol::recvMessage(*v1).type, MessageType::Pong);
+  protocol::sendMessageV2(*v2, MessageType::Ping, 99, token);
+  const protocol::FrameHeader pong = protocol::recvHeaderV2(*v2);
+  EXPECT_EQ(pong.type, MessageType::Pong);
+  EXPECT_EQ(pong.call_id, 99u);
+  std::vector<std::uint8_t> pong_body(pong.length);
+  v2->recvAll(pong_body);
+  EXPECT_EQ(reactorFds(), 3.0);
+
+  // A client that hangs up straight after its burst: the inline answers
+  // and the trailing staged call have nowhere to go.
+  {
+    auto gone = dial();
+    std::vector<std::uint8_t> wire = burst(protocol::WireMode::V1);
+    const auto staged = protocol::flattenFrame(
+        protocol::WireMode::V1, MessageType::CallRequest, 0, {}, submit);
+    wire.insert(wire.end(), staged.begin(), staged.end());
+    gone->sendAll(wire);
+    gone->close();
+  }
+  nap.cut = true;
+  held.get();
+  EXPECT_TRUE(waitFor([] { return reactorFds() == 3.0; }))
+      << "fds gauge " << reactorFds();
+  auto fresh = NinfClient::connectTcp("127.0.0.1", port);
+  EXPECT_GE(fresh->ping(16), 0.0);
+  fresh->close();
+  busy->close();
+  server.stop();
 }
 
 /// A stream and a listener with no pollable handle: nothing the reactor
