@@ -61,7 +61,10 @@ void Channel::setMidReplyGrace(double seconds) {
 }
 
 std::uint32_t Channel::negotiatedVersion() const {
-  return negotiated_version_.load(std::memory_order_acquire);
+  const auto mode = mode_.load(std::memory_order_acquire);
+  if (!mode) return 0;
+  return *mode == protocol::WireMode::V1 ? protocol::kVersion
+                                         : protocol::kVersion2;
 }
 
 std::string Channel::peerName() const {
@@ -91,7 +94,7 @@ void Channel::teardownLocked() {
   // out, so close without send_mutex_ is safe.
   if (stream_) stream_->close();
   if (reader_.joinable()) reader_.join();
-  trace_wire_.store(false, std::memory_order_release);
+  mode_.store(std::nullopt, std::memory_order_release);
   negotiated_features_.store(0, std::memory_order_release);
   failAllPending(std::make_exception_ptr(
       TransportError("channel torn down with calls in flight")));
@@ -100,10 +103,9 @@ void Channel::teardownLocked() {
     stream_.reset();
     wire_ = nullptr;
   }
-  mode_ = Mode::Undecided;
 }
 
-void Channel::ensureReadyLocked(
+protocol::WireMode Channel::ensureReadyLocked(
     std::chrono::steady_clock::time_point deadline) {
   if (broken_.load(std::memory_order_acquire)) {
     teardownLocked();
@@ -127,18 +129,19 @@ void Channel::ensureReadyLocked(
       stream_ = std::move(fresh);
       wire_ = stream_.get();
     }
-    mode_ = Mode::Undecided;
   }
-  if (mode_ != Mode::Undecided) return;
+  // A fresh stream only ever follows teardownLocked, which cleared the
+  // mode, so a set mode belongs to the current connection.
+  if (const auto mode = mode_.load(std::memory_order_acquire)) return *mode;
   if (force_v1_) {
-    mode_ = Mode::V1;
-    negotiated_version_.store(protocol::kVersion, std::memory_order_release);
-    return;
+    mode_.store(protocol::WireMode::V1, std::memory_order_release);
+    return protocol::WireMode::V1;
   }
-  negotiateLocked(deadline);
+  return negotiateLocked(deadline);
 }
 
-void Channel::negotiateLocked(std::chrono::steady_clock::time_point deadline) {
+protocol::WireMode Channel::negotiateLocked(
+    std::chrono::steady_clock::time_point deadline) {
   // No reader thread exists yet, so the stream deadline is safe here and
   // bounds the handshake by the first call's budget.
   try {
@@ -170,19 +173,16 @@ void Channel::negotiateLocked(std::chrono::steady_clock::time_point deadline) {
     if (want != 0 && dec.remaining() >= 4) features = dec.getU32();
     features &= want;
     negotiated_features_.store(features, std::memory_order_release);
+    protocol::WireMode mode = protocol::WireMode::V1;
     if (agreed >= protocol::kVersion2) {
-      mode_ = Mode::V2;
-      const bool traced =
-          (features & protocol::kFeatureTraceContext) != 0;
-      trace_wire_.store(traced, std::memory_order_release);
-      negotiated_version_.store(protocol::kVersion2,
-                                std::memory_order_release);
+      mode = (features & protocol::kFeatureTraceContext) != 0
+                 ? protocol::WireMode::V2Traced
+                 : protocol::WireMode::V2;
       transport::Stream* raw = stream_.get();
-      reader_ = std::thread([this, raw, traced] { readerLoop(raw, traced); });
-    } else {
-      mode_ = Mode::V1;
-      negotiated_version_.store(protocol::kVersion, std::memory_order_release);
+      reader_ = std::thread([this, raw, mode] { readerLoop(raw, mode); });
     }
+    mode_.store(mode, std::memory_order_release);
+    return mode;
   } catch (const TimeoutError&) {
     // The peer is stalled, not old: surface the deadline, wire unknown.
     broken_.store(true, std::memory_order_release);
@@ -194,15 +194,15 @@ void Channel::negotiateLocked(std::chrono::steady_clock::time_point deadline) {
     // so fall back to v1 over a fresh connection.  A genuinely dead
     // network fails the fallback reconnect — or the v1 exchange that
     // follows — with the same typed error, so real faults still surface.
-    fallbackToV1Locked("peer closed the connection on Hello");
+    return fallbackToV1Locked("peer closed the connection on Hello");
   } catch (const ProtocolError&) {
     // The peer answered Hello with something that is not a HelloAck: a
     // v1 peer echoing an error frame.
-    fallbackToV1Locked("Hello rejected by peer");
+    return fallbackToV1Locked("Hello rejected by peer");
   }
 }
 
-void Channel::fallbackToV1Locked(const char* why) {
+protocol::WireMode Channel::fallbackToV1Locked(const char* why) {
   if (!reconnect_) {
     broken_.store(true, std::memory_order_release);
     throw;  // rethrows the exception the negotiate handler caught
@@ -229,9 +229,8 @@ void Channel::fallbackToV1Locked(const char* why) {
     stream_ = std::move(fresh);
     wire_ = stream_.get();
   }
-  mode_ = Mode::V1;
-  trace_wire_.store(false, std::memory_order_release);
-  negotiated_version_.store(protocol::kVersion, std::memory_order_release);
+  mode_.store(protocol::WireMode::V1, std::memory_order_release);
+  return protocol::WireMode::V1;
 }
 
 Channel::Reply Channel::transact(MessageType type, const xdr::Encoder& body,
@@ -242,12 +241,12 @@ Channel::Reply Channel::transact(MessageType type, const xdr::Encoder& body,
   NINF_TIDY_SUPPRESS("metrics-under-lock",
                      "reconnect is the cold path and its only metric is "
                      "a pre-resolved counter bump");
-  ensureReadyLocked(deadline);
-  if (mode_ == Mode::V1) {
+  const protocol::WireMode mode = ensureReadyLocked(deadline);
+  if (mode == protocol::WireMode::V1) {
     return transactV1Locked(type, body, consumer, deadline);
   }
   setup.unlock();
-  return transactV2(type, body, std::move(consumer), deadline);
+  return transactV2(mode, type, body, std::move(consumer), deadline);
 }
 
 Channel::Reply Channel::transactV1Locked(
@@ -289,8 +288,8 @@ Channel::Reply Channel::transactV1Locked(
 }
 
 Channel::Reply Channel::transactV2(
-    MessageType type, const xdr::Encoder& body, Consumer consumer,
-    std::chrono::steady_clock::time_point deadline) {
+    protocol::WireMode mode, MessageType type, const xdr::Encoder& body,
+    Consumer consumer, std::chrono::steady_clock::time_point deadline) {
   auto call = std::make_shared<PendingCall>();
   call->consumer = std::move(consumer);
   std::future<Reply> fut = call->promise.get_future();
@@ -316,28 +315,19 @@ Channel::Reply Channel::transactV2(
       LockGuard p(pending_mutex_);
       call->sent_us = obs::Tracer::nowMicros();
     }
-    const bool traced = trace_wire_.load(std::memory_order_acquire);
     const protocol::WireTraceContext wctx{trace_ctx.trace_id,
                                           trace_ctx.parent_span};
-    const protocol::WireMode wire_mode =
-        traced ? protocol::WireMode::V2Traced : protocol::WireMode::V2;
-    if (protocol::headerBytes(wire_mode) + body.size() <=
-        kBatchableFrameBytes) {
+    if (protocol::headerBytes(mode) + body.size() <= kBatchableFrameBytes) {
       // Small call: flatten once and group-commit with its concurrent
       // siblings — under high in-flight counts many frames share one
       // writev instead of contending for send_mutex_ one syscall each.
-      sendV2Batched(
-          protocol::flattenFramePooled(wire_mode, type, id, wctx, body));
+      sendV2Batched(protocol::flattenFramePooled(mode, type, id, wctx, body));
     } else {
       LockGuard g(send_mutex_);
       if (broken_.load(std::memory_order_acquire) || wire_ == nullptr) {
         throw TransportError("channel broken");
       }
-      if (traced) {
-        protocol::sendMessageV2Traced(*wire_, type, id, wctx, body);
-      } else {
-        protocol::sendMessageV2(*wire_, type, id, body);
-      }
+      protocol::sendMessage(*wire_, type, body, mode, id, wctx);
     }
     {
       LockGuard p(pending_mutex_);
@@ -521,12 +511,10 @@ void Channel::failAllPending(std::exception_ptr error) {
   }
 }
 
-void Channel::readerLoop(transport::Stream* stream, bool traced) {
+void Channel::readerLoop(transport::Stream* stream, protocol::WireMode mode) {
   try {
     for (;;) {
-      const protocol::FrameHeader header =
-          traced ? protocol::recvHeaderV2Traced(*stream)
-                 : protocol::recvHeaderV2(*stream);
+      const protocol::FrameHeader header = protocol::recvHeader(*stream, mode);
       std::shared_ptr<PendingCall> call;
       Reply reply;
       reply.type = header.type;

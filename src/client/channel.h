@@ -1,16 +1,18 @@
 // Session layer under NinfClient: one Channel owns one connection and
 // turns it into a request/reply service that many threads can share.
 //
-// After an initial Hello/HelloAck negotiation (lazy, performed inside the
-// first exchange so it is bounded by that call's deadline) the channel
-// runs in one of two modes:
+// An initial Hello/HelloAck negotiation (lazy, performed inside the
+// first exchange so it is bounded by that call's deadline) settles one
+// protocol::WireMode for the connection, and every frame the channel
+// sends or reads goes through the codec in that mode:
 //
-//  * v2 (both ends speak protocol::kVersion2): every frame carries a
-//    64-bit call ID, requests are pipelined through a send mutex, and a
-//    dedicated reader thread demultiplexes replies — which may return in
-//    any order — into per-call promises.  One connection sustains as many
+//  * V2 / V2Traced (both ends speak protocol::kVersion2; traced when both
+//    accepted kFeatureTraceContext): every frame carries a 64-bit call
+//    ID, requests are pipelined through a send mutex, and a dedicated
+//    reader thread demultiplexes replies — which may return in any
+//    order — into per-call promises.  One connection sustains as many
 //    concurrent in-flight calls as the server has workers.
-//  * v1 (the peer never acked, or force_v1): the classic lock-step
+//  * V1 (the peer never acked, or force_v1): the classic lock-step
 //    exchange, one call at a time, serialized on the channel.
 //
 // Failure envelope: a timeout while a v2 call is still *waiting* for its
@@ -33,6 +35,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/buffer_pool.h"
@@ -98,14 +101,16 @@ class Channel {
                  std::chrono::steady_clock::time_point deadline =
                      transport::Stream::kNoDeadline) NINF_BLOCKING;
 
-  /// Protocol version in force: 0 before the first exchange, then 1 or 2.
+  /// Protocol version in force: 0 before the first exchange (and after
+  /// a broken connection is torn down), then 1 or 2.
   std::uint32_t negotiatedVersion() const;
 
   /// True when the connection negotiated the trace-context extension
   /// (40-byte traced v2 frames in both directions).  Only possible when
   /// the tracer was enabled at negotiation time.
   bool tracePropagationNegotiated() const {
-    return trace_wire_.load(std::memory_order_acquire);
+    return mode_.load(std::memory_order_acquire) ==
+           protocol::WireMode::V2Traced;
   }
 
   /// Advertise extra feature bits (protocol::kFeature*) in the next
@@ -140,8 +145,6 @@ class Channel {
   void close();
 
  private:
-  enum class Mode { Undecided, V1, V2 };
-
   struct PendingCall {
     Consumer consumer;
     std::promise<Reply> promise;
@@ -151,15 +154,18 @@ class Channel {
     enum State { Waiting, Consuming } state = Waiting;
   };
 
-  /// Reconnect + negotiate as needed.
-  void ensureReadyLocked(std::chrono::steady_clock::time_point deadline)
+  /// Reconnect + negotiate as needed; returns the mode in force.
+  protocol::WireMode ensureReadyLocked(
+      std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
-  void negotiateLocked(std::chrono::steady_clock::time_point deadline)
+  protocol::WireMode negotiateLocked(
+      std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
   /// Switch to protocol v1 over one fresh connection.  Only callable
   /// from inside a negotiate catch handler (rethrows the in-flight
   /// exception when no reconnect factory exists).
-  void fallbackToV1Locked(const char* why) NINF_REQUIRES(setup_mutex_);
+  protocol::WireMode fallbackToV1Locked(const char* why)
+      NINF_REQUIRES(setup_mutex_);
   /// Close + join reader + drop the stream.
   void teardownLocked() NINF_REQUIRES(setup_mutex_);
 
@@ -167,11 +173,11 @@ class Channel {
                          const Consumer& consumer,
                          std::chrono::steady_clock::time_point deadline)
       NINF_REQUIRES(setup_mutex_);
-  Reply transactV2(protocol::MessageType type, const xdr::Encoder& body,
-                   Consumer consumer,
+  Reply transactV2(protocol::WireMode mode, protocol::MessageType type,
+                   const xdr::Encoder& body, Consumer consumer,
                    std::chrono::steady_clock::time_point deadline);
 
-  void readerLoop(transport::Stream* stream, bool traced);
+  void readerLoop(transport::Stream* stream, protocol::WireMode mode);
   /// Mark broken and fail every pending call with `error`.
   void failAllPending(std::exception_ptr error);
   /// Remove one pending entry (if still present) and update the gauge.
@@ -191,12 +197,13 @@ class Channel {
   mutable Mutex setup_mutex_{"channel.setup"};
   std::unique_ptr<transport::Stream> stream_ NINF_GUARDED_BY(setup_mutex_);
   StreamFactory reconnect_ NINF_GUARDED_BY(setup_mutex_);
-  Mode mode_ NINF_GUARDED_BY(setup_mutex_) = Mode::Undecided;
+  /// Frame layout negotiated on the current connection; nullopt until
+  /// the first exchange and after teardown.  Written only under
+  /// setup_mutex_; atomic so the public getters read it lock-free.
+  std::atomic<std::optional<protocol::WireMode>> mode_{std::nullopt};
   bool force_v1_ = false;  // immutable after construction
-  std::atomic<std::uint32_t> negotiated_version_{0};
   std::atomic<std::uint32_t> requested_features_{0};
   std::atomic<std::uint32_t> negotiated_features_{0};
-  std::atomic<bool> trace_wire_{false};
   std::atomic<bool> broken_{false};
   std::atomic<double> mid_reply_grace_s_{0.25};
 

@@ -15,8 +15,8 @@
 namespace ninf::client {
 
 using protocol::ArgValue;
-using protocol::Message;
 using protocol::MessageType;
+using transport::Stream;
 
 namespace {
 
@@ -26,15 +26,6 @@ double nowSeconds() {
       .count();
 }
 
-std::chrono::steady_clock::time_point deadlineIn(double seconds) {
-  return seconds > 0
-             ? std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(seconds))
-             : transport::Stream::kNoDeadline;
-}
-
 void requireType(MessageType got, MessageType expected) {
   if (got != expected) {
     throw ProtocolError("expected message type " +
@@ -42,6 +33,14 @@ void requireType(MessageType got, MessageType expected) {
                         ", got " +
                         std::to_string(static_cast<unsigned>(got)));
   }
+}
+
+/// The whole reply body as bytes (for bodies decoded off the wire later,
+/// or compared as a whole).
+std::vector<std::uint8_t> rawBody(xdr::Source& src) {
+  std::vector<std::uint8_t> bytes(src.remaining());
+  src.getRaw(bytes);
+  return bytes;
 }
 
 }  // namespace
@@ -78,11 +77,7 @@ auto NinfClient::retryLoop(const std::string& what, const CallOptions& opts,
     -> decltype(fn(std::chrono::steady_clock::time_point{})) {
   using clock = std::chrono::steady_clock;
   const bool bounded = opts.deadline_seconds > 0;
-  const clock::time_point deadline =
-      bounded ? clock::now() +
-                    std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(opts.deadline_seconds))
-              : transport::Stream::kNoDeadline;
+  const clock::time_point deadline = Stream::deadlineIn(opts.deadline_seconds);
   double backoff = std::max(0.0, opts.backoff_seconds);
   for (std::size_t attempt = 0;; ++attempt) {
     try {
@@ -111,32 +106,42 @@ auto NinfClient::retryLoop(const std::string& what, const CallOptions& opts,
   }
 }
 
-Message NinfClient::roundTrip(MessageType type,
-                              std::span<const std::uint8_t> payload,
-                              MessageType expected,
-                              std::chrono::steady_clock::time_point deadline) {
-  xdr::Encoder enc;
-  enc.putRaw(payload);
-  Message reply;
+template <typename Decode>
+auto NinfClient::exchange(MessageType type, const xdr::Encoder& body,
+                          MessageType expected, Decode&& decode,
+                          std::chrono::steady_clock::time_point deadline)
+    -> std::invoke_result_t<Decode&, xdr::Source&> {
+  std::optional<std::invoke_result_t<Decode&, xdr::Source&>> reply;
+  std::optional<protocol::RedirectInfo> redirect;
   channel_->transact(
-      type, enc,
-      [&reply, expected](const Channel::Reply& r, xdr::Source& body) {
+      type, body,
+      [&](const Channel::Reply& r, xdr::Source& src) {
+        if (r.type == MessageType::WrongShard) {
+          redirect = protocol::RedirectInfo::decode(src);
+          return;
+        }
         requireType(r.type, expected);
-        reply.type = r.type;
-        reply.payload.resize(r.length);
-        body.getRaw(reply.payload);
+        reply = decode(src);
       },
       deadline);
-  return reply;
+  if (redirect) {
+    throw WrongShardError(
+        "'" + redirect->entry + "' belongs to shard " +
+            std::to_string(redirect->owner_shard) + " (ring epoch " +
+            std::to_string(redirect->ring_epoch) + ")",
+        redirect->owner_shard, redirect->ring_epoch,
+        redirect->reason == protocol::RedirectReason::NotPrimary);
+  }
+  return std::move(*reply);
 }
 
 const idl::InterfaceInfo& NinfClient::queryInterface(const std::string& name) {
-  return queryInterface(name, transport::Stream::kNoDeadline);
+  return queryInterface(name, Stream::kNoDeadline);
 }
 
 const idl::InterfaceInfo& NinfClient::queryInterface(const std::string& name,
                                                      double timeout_seconds) {
-  return queryInterface(name, deadlineIn(timeout_seconds));
+  return queryInterface(name, Stream::deadlineIn(timeout_seconds));
 }
 
 const idl::InterfaceInfo& NinfClient::queryInterface(
@@ -149,15 +154,9 @@ const idl::InterfaceInfo& NinfClient::queryInterface(
 
   xdr::Encoder enc;
   enc.putString(name);
-  std::vector<std::uint8_t> payload;
-  channel_->transact(
-      MessageType::QueryInterface, enc,
-      [&payload](const Channel::Reply& r, xdr::Source& body) {
-        requireType(r.type, MessageType::InterfaceReply);
-        payload.resize(r.length);
-        body.getRaw(payload);
-      },
-      deadline);
+  const std::vector<std::uint8_t> payload =
+      exchange(MessageType::QueryInterface, enc, MessageType::InterfaceReply,
+               rawBody, deadline);
   xdr::Decoder dec(payload);
   if (!dec.getBool()) {
     throw NotFoundError("executable '" + name + "' on " +
@@ -334,84 +333,48 @@ std::optional<CallResult> NinfClient::fetchOnce(
 }
 
 std::vector<std::string> NinfClient::listExecutables() {
-  const Message reply =
-      roundTrip(MessageType::ListExecutables, {}, MessageType::ExecutableList,
-                transport::Stream::kNoDeadline);
-  xdr::Decoder dec(reply.payload);
-  const std::uint32_t count = dec.getU32();
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) names.push_back(dec.getString());
-  return names;
+  return exchange(MessageType::ListExecutables, xdr::Encoder{},
+                  MessageType::ExecutableList,
+                  [](xdr::Source& src) {
+                    const std::uint32_t count = src.getU32();
+                    std::vector<std::string> names;
+                    names.reserve(count);
+                    for (std::uint32_t i = 0; i < count; ++i) {
+                      names.push_back(src.getString());
+                    }
+                    return names;
+                  },
+                  Stream::kNoDeadline);
 }
 
 protocol::ServerStatusInfo NinfClient::serverStatus(double timeout_seconds) {
-  const Message reply = roundTrip(MessageType::ServerStatus, {},
-                                  MessageType::StatusReply,
-                                  deadlineIn(timeout_seconds));
-  return protocol::ServerStatusInfo::fromBytes(reply.payload);
+  return exchange(MessageType::ServerStatus, xdr::Encoder{},
+                  MessageType::StatusReply,
+                  [](xdr::Source& src) {
+                    return protocol::ServerStatusInfo::fromBytes(rawBody(src));
+                  },
+                  Stream::deadlineIn(timeout_seconds));
 }
 
 double NinfClient::ping(std::size_t payload_bytes, double timeout_seconds) {
-  std::vector<std::uint8_t> payload(payload_bytes, 0xA5);
+  const std::vector<std::uint8_t> payload(payload_bytes, 0xA5);
   const double start = nowSeconds();
-  const Message reply = roundTrip(MessageType::Ping, payload,
-                                  MessageType::Pong,
-                                  deadlineIn(timeout_seconds));
-  if (reply.payload != payload) throw ProtocolError("ping echo mismatch");
+  xdr::Encoder enc;
+  enc.putRaw(payload);
+  if (exchange(MessageType::Ping, enc, MessageType::Pong, rawBody,
+               Stream::deadlineIn(timeout_seconds)) != payload) {
+    throw ProtocolError("ping echo mismatch");
+  }
   return nowSeconds() - start;
 }
-
-namespace {
-
-/// One control-plane exchange whose reply may be the expected type or a
-/// WrongShard redirect.  Decodes either; a redirect becomes a typed
-/// WrongShardError after the body is fully consumed (keeping framing
-/// aligned either way).
-template <typename Reply>
-Reply controlExchange(Channel& channel, MessageType type,
-                      const xdr::Encoder& body, MessageType expected,
-                      Reply (*decode)(xdr::Source&),
-                      std::chrono::steady_clock::time_point deadline) {
-  std::optional<Reply> reply;
-  std::optional<protocol::RedirectInfo> redirect;
-  channel.transact(
-      type, body,
-      [&](const Channel::Reply& r, xdr::Source& src) {
-        if (r.type == MessageType::WrongShard) {
-          redirect = protocol::RedirectInfo::decode(src);
-          return;
-        }
-        requireType(r.type, expected);
-        reply = decode(src);
-      },
-      deadline);
-  if (redirect) {
-    throw WrongShardError(
-        "'" + redirect->entry + "' belongs to shard " +
-            std::to_string(redirect->owner_shard) + " (ring epoch " +
-            std::to_string(redirect->ring_epoch) + ")",
-        redirect->owner_shard, redirect->ring_epoch,
-        redirect->reason == protocol::RedirectReason::NotPrimary);
-  }
-  return std::move(*reply);
-}
-
-}  // namespace
 
 protocol::RingDescriptor NinfClient::ringInfo(std::uint64_t known_epoch,
                                               double timeout_seconds) {
   xdr::Encoder enc;
   enc.putU64(known_epoch);
-  protocol::RingDescriptor ring;
-  channel_->transact(
-      MessageType::RingQuery, enc,
-      [&ring](const Channel::Reply& r, xdr::Source& src) {
-        requireType(r.type, MessageType::RingInfo);
-        ring = protocol::RingDescriptor::decode(src);
-      },
-      deadlineIn(timeout_seconds));
-  return ring;
+  return exchange(MessageType::RingQuery, enc, MessageType::RingInfo,
+                  &protocol::RingDescriptor::decode,
+                  Stream::deadlineIn(timeout_seconds));
 }
 
 protocol::ScheduleChoice NinfClient::scheduleQuery(
@@ -422,10 +385,10 @@ protocol::ScheduleChoice NinfClient::scheduleQuery(
   req.excluded = excluded;
   xdr::Encoder enc;
   req.encode(enc);
-  auto choice = controlExchange(*channel_, MessageType::ScheduleQuery, enc,
-                                MessageType::ScheduleReply,
-                                &protocol::ScheduleChoice::decode,
-                                deadlineIn(timeout_seconds));
+  auto choice = exchange(MessageType::ScheduleQuery, enc,
+                         MessageType::ScheduleReply,
+                         &protocol::ScheduleChoice::decode,
+                         Stream::deadlineIn(timeout_seconds));
   // An empty name is the node saying "no reachable candidate" — the
   // typed not-found its in-process pickAmong would have thrown.
   if (choice.server_name.empty()) {
@@ -444,10 +407,10 @@ protocol::RegisterResult NinfClient::registerServer(
   op.reg_epoch = reg_epoch;
   xdr::Encoder enc;
   op.encode(enc);
-  auto result = controlExchange(*channel_, MessageType::RegisterServer, enc,
-                                MessageType::RegisterAck,
-                                &protocol::RegisterResult::decode,
-                                deadlineIn(timeout_seconds));
+  auto result = exchange(MessageType::RegisterServer, enc,
+                         MessageType::RegisterAck,
+                         &protocol::RegisterResult::decode,
+                         Stream::deadlineIn(timeout_seconds));
   if (result.status == protocol::RegisterResult::Status::Fenced) {
     throw FencedError("registration of " + desc.endpoint + " rejected by " +
                       channel_->peerName());
@@ -464,10 +427,10 @@ protocol::RegisterResult NinfClient::deregisterServer(
   op.reg_epoch = reg_epoch;
   xdr::Encoder enc;
   op.encode(enc);
-  auto result = controlExchange(*channel_, MessageType::DeregisterServer, enc,
-                                MessageType::RegisterAck,
-                                &protocol::RegisterResult::decode,
-                                deadlineIn(timeout_seconds));
+  auto result = exchange(MessageType::DeregisterServer, enc,
+                         MessageType::RegisterAck,
+                         &protocol::RegisterResult::decode,
+                         Stream::deadlineIn(timeout_seconds));
   if (result.status == protocol::RegisterResult::Status::Fenced) {
     throw FencedError("deregistration of " + endpoint + " rejected by " +
                       channel_->peerName());
@@ -479,30 +442,18 @@ protocol::ReplAckMsg NinfClient::replAppend(const protocol::ReplAppendMsg& msg,
                                             double timeout_seconds) {
   xdr::Encoder enc;
   msg.encode(enc);
-  protocol::ReplAckMsg ack;
-  channel_->transact(
-      MessageType::ReplAppend, enc,
-      [&ack](const Channel::Reply& r, xdr::Source& src) {
-        requireType(r.type, MessageType::ReplAck);
-        ack = protocol::ReplAckMsg::decode(src);
-      },
-      deadlineIn(timeout_seconds));
-  return ack;
+  return exchange(MessageType::ReplAppend, enc, MessageType::ReplAck,
+                  &protocol::ReplAckMsg::decode,
+                  Stream::deadlineIn(timeout_seconds));
 }
 
 protocol::ReplAckMsg NinfClient::replHeartbeat(
     const protocol::ReplHeartbeatMsg& msg, double timeout_seconds) {
   xdr::Encoder enc;
   msg.encode(enc);
-  protocol::ReplAckMsg ack;
-  channel_->transact(
-      MessageType::ReplHeartbeat, enc,
-      [&ack](const Channel::Reply& r, xdr::Source& src) {
-        requireType(r.type, MessageType::ReplAck);
-        ack = protocol::ReplAckMsg::decode(src);
-      },
-      deadlineIn(timeout_seconds));
-  return ack;
+  return exchange(MessageType::ReplHeartbeat, enc, MessageType::ReplAck,
+                  &protocol::ReplAckMsg::decode,
+                  Stream::deadlineIn(timeout_seconds));
 }
 
 void NinfClient::close() { channel_->close(); }

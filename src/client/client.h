@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "client/channel.h"
@@ -196,10 +197,17 @@ class NinfClient {
   Channel& channel() { return *channel_; }
 
  private:
-  protocol::Message roundTrip(protocol::MessageType type,
-                              std::span<const std::uint8_t> payload,
-                              protocol::MessageType expected,
-                              std::chrono::steady_clock::time_point deadline);
+  /// One typed exchange: send `body` as a `type` frame, check that the
+  /// reply is `expected` and return `decode(reply body)`.  A WrongShard
+  /// reply is decoded instead and thrown as WrongShardError; the body is
+  /// fully consumed either way, so framing stays aligned.  call, submit
+  /// and fetch use the channel directly, since they decode into the
+  /// caller's memory.
+  template <typename Decode>
+  auto exchange(protocol::MessageType type, const xdr::Encoder& body,
+                protocol::MessageType expected, Decode&& decode,
+                std::chrono::steady_clock::time_point deadline)
+      -> std::invoke_result_t<Decode&, xdr::Source&>;
 
   const idl::InterfaceInfo& queryInterface(
       const std::string& name,

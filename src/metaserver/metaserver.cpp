@@ -24,10 +24,7 @@ client::CallResult dispatchWithFailover(const Router& router,
   using Clock = std::chrono::steady_clock;
   const bool bounded = opts.deadline_seconds > 0;
   const Clock::time_point deadline =
-      bounded ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       opts.deadline_seconds))
-              : Clock::time_point::max();
+      transport::Stream::deadlineIn(opts.deadline_seconds);
   auto remaining = [&deadline] {
     return std::chrono::duration<double>(deadline - Clock::now()).count();
   };

@@ -229,11 +229,7 @@ client::CallResult ShardedMetaserver::dispatch(
 std::vector<protocol::RegisterResult> ShardedMetaserver::registerServer(
     const protocol::WireServerDesc& desc, std::uint64_t reg_epoch,
     double deadline_seconds) {
-  const auto deadline =
-      deadline_seconds > 0
-          ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(deadline_seconds))
-          : kUnbounded;
+  const auto deadline = transport::Stream::deadlineIn(deadline_seconds);
   // Partition the export list by owning shard; each shard gets the
   // descriptor narrowed to its slice of the namespace.
   std::map<std::uint32_t, std::vector<std::string>> by_shard;
@@ -265,11 +261,7 @@ std::vector<protocol::RegisterResult> ShardedMetaserver::deregisterServer(
     const std::string& endpoint, const std::string& name,
     const std::vector<std::string>& entries, std::uint64_t reg_epoch,
     double deadline_seconds) {
-  const auto deadline =
-      deadline_seconds > 0
-          ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(deadline_seconds))
-          : kUnbounded;
+  const auto deadline = transport::Stream::deadlineIn(deadline_seconds);
   std::map<std::uint32_t, std::string> routing;
   if (entries.empty()) {
     routing[ownerOf(name)] = name;

@@ -18,37 +18,38 @@ void putWordBe(std::uint32_t word, std::uint8_t* out) {
   out[3] = static_cast<std::uint8_t>(word);
 }
 
-/// Encode the 16-byte v1 frame header into `out`.
-void encodeHeader(MessageType type, std::size_t length,
-                  std::uint8_t out[kHeaderBytes]) {
-  putWordBe(kMagic, out);
-  putWordBe(kVersion, out + 4);
-  putWordBe(static_cast<std::uint32_t>(type), out + 8);
-  putWordBe(static_cast<std::uint32_t>(length), out + 12);
+void putWideBe(std::uint64_t wide, std::uint8_t* out) {
+  putWordBe(static_cast<std::uint32_t>(wide >> 32), out);
+  putWordBe(static_cast<std::uint32_t>(wide), out + 4);
 }
 
-/// Encode the 24-byte v2 frame header (v1 header fields + 64-bit call ID,
-/// high word first) into `out`.
-void encodeHeaderV2(MessageType type, std::size_t length,
-                    std::uint64_t call_id, std::uint8_t out[kHeaderBytesV2]) {
+/// One encoded frame header of any layout.
+struct EncodedHeader {
+  std::array<std::uint8_t, kHeaderBytesV2Traced> bytes;
+  std::size_t size;
+
+  std::span<const std::uint8_t> span() const { return {bytes.data(), size}; }
+};
+
+/// Encode the mode's header: the four v1 words, then (v2) the call ID,
+/// then (traced v2) trace ID + parent span ID, each 64-bit value high
+/// word first.
+EncodedHeader encodeHeader(WireMode mode, MessageType type,
+                           std::size_t length, std::uint64_t call_id,
+                           const WireTraceContext& ctx) {
+  NINF_REQUIRE(length <= kMaxPayload, "payload too large");
+  EncodedHeader h{{}, headerBytes(mode)};
+  std::uint8_t* out = h.bytes.data();
   putWordBe(kMagic, out);
-  putWordBe(kVersion2, out + 4);
+  putWordBe(mode == WireMode::V1 ? kVersion : kVersion2, out + 4);
   putWordBe(static_cast<std::uint32_t>(type), out + 8);
   putWordBe(static_cast<std::uint32_t>(length), out + 12);
-  putWordBe(static_cast<std::uint32_t>(call_id >> 32), out + 16);
-  putWordBe(static_cast<std::uint32_t>(call_id), out + 20);
-}
-
-/// Encode the 40-byte traced v2 frame header (v2 header fields + trace
-/// ID + parent span ID, each 64-bit high word first) into `out`.
-void encodeHeaderV2Traced(MessageType type, std::size_t length,
-                          std::uint64_t call_id, const WireTraceContext& ctx,
-                          std::uint8_t out[kHeaderBytesV2Traced]) {
-  encodeHeaderV2(type, length, call_id, out);
-  putWordBe(static_cast<std::uint32_t>(ctx.trace_id >> 32), out + 24);
-  putWordBe(static_cast<std::uint32_t>(ctx.trace_id), out + 28);
-  putWordBe(static_cast<std::uint32_t>(ctx.parent_span >> 32), out + 32);
-  putWordBe(static_cast<std::uint32_t>(ctx.parent_span), out + 36);
+  if (mode != WireMode::V1) putWideBe(call_id, out + 16);
+  if (mode == WireMode::V2Traced) {
+    putWideBe(ctx.trace_id, out + 24);
+    putWideBe(ctx.parent_span, out + 32);
+  }
+  return h;
 }
 
 /// Sink gathering spans for one vectored send.  Spans stay valid until
@@ -103,7 +104,7 @@ class BufferSink : public xdr::Sink {
 /// Record a materialized wire-buffer size in the
 /// "wire.peak_buffer_bytes" gauge (monotonic max since last metrics
 /// reset).  The streaming pipeline's peak stays near the scratch size
-/// regardless of payload; the legacy contiguous path reports the full
+/// regardless of payload; the contiguous-payload send reports the full
 /// message.
 void noteWireBuffer(std::size_t bytes) {
   static obs::Gauge& peak = obs::gauge("wire.peak_buffer_bytes");
@@ -114,86 +115,41 @@ void noteWireBuffer(std::size_t bytes) {
 }  // namespace
 
 void sendMessage(transport::Stream& stream, MessageType type,
-                 std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(payload.size());
-  std::uint8_t header[16];
-  encodeHeader(type, payload.size(), header);
-  const std::span<const std::uint8_t> bufs[2] = {{header, 16}, payload};
-  stream.sendv(bufs);
-}
-
-void sendMessage(transport::Stream& stream, MessageType type,
-                 const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
+                 const xdr::Encoder& body, WireMode mode,
+                 std::uint64_t call_id, const WireTraceContext& ctx) {
+  const EncodedHeader header =
+      encodeHeader(mode, type, body.size(), call_id, ctx);
   // Peak contiguous memory on this path: the encoder's owned (scalar)
   // section plus one byteswap scratch chunk — independent of array size.
   noteWireBuffer(body.ownedSize() +
                  (body.hasBorrowed() ? xdr::Encoder::kScratchBytes : 0));
-  std::uint8_t header[16];
-  encodeHeader(type, body.size(), header);
   StreamSink sink(stream);
-  sink.write({header, 16});
+  sink.write(header.span());
   body.emitTo(sink);  // flushes after each scratch chunk and at the end
 }
 
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id,
-                   std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
+void sendMessage(transport::Stream& stream, MessageType type,
+                 std::span<const std::uint8_t> payload, WireMode mode,
+                 std::uint64_t call_id, const WireTraceContext& ctx) {
+  const EncodedHeader header =
+      encodeHeader(mode, type, payload.size(), call_id, ctx);
   noteWireBuffer(payload.size());
-  std::uint8_t header[kHeaderBytesV2];
-  encodeHeaderV2(type, payload.size(), call_id, header);
-  const std::span<const std::uint8_t> bufs[2] = {{header, kHeaderBytesV2},
-                                                 payload};
+  const std::span<const std::uint8_t> bufs[2] = {header.span(), payload};
   stream.sendv(bufs);
-}
-
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id, const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(body.ownedSize() +
-                 (body.hasBorrowed() ? xdr::Encoder::kScratchBytes : 0));
-  std::uint8_t header[kHeaderBytesV2];
-  encodeHeaderV2(type, body.size(), call_id, header);
-  StreamSink sink(stream);
-  sink.write({header, kHeaderBytesV2});
-  body.emitTo(sink);
-}
-
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(payload.size());
-  std::uint8_t header[kHeaderBytesV2Traced];
-  encodeHeaderV2Traced(type, payload.size(), call_id, ctx, header);
-  const std::span<const std::uint8_t> bufs[2] = {
-      {header, kHeaderBytesV2Traced}, payload};
-  stream.sendv(bufs);
-}
-
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  noteWireBuffer(body.ownedSize() +
-                 (body.hasBorrowed() ? xdr::Encoder::kScratchBytes : 0));
-  std::uint8_t header[kHeaderBytesV2Traced];
-  encodeHeaderV2Traced(type, body.size(), call_id, ctx, header);
-  StreamSink sink(stream);
-  sink.write({header, kHeaderBytesV2Traced});
-  body.emitTo(sink);
 }
 
 namespace {
 
-/// Validate the four words shared by every header layout.
-FrameHeader checkHeaderWords(xdr::Source& header, std::uint32_t want_version,
-                             const std::string& peer) {
+/// Parse and validate one full header (any mode) from exactly
+/// headerBytes(mode) bytes: the inverse of encodeHeader.
+FrameHeader parseHeader(std::span<const std::uint8_t> bytes, WireMode mode,
+                        const std::string& peer) {
+  xdr::Decoder header(bytes);
   if (header.getU32() != kMagic) {
     throw ProtocolError("bad magic from " + peer);
   }
+  const std::uint32_t want_version =
+      mode == WireMode::V1 ? kVersion : kVersion2;
   const std::uint32_t version = header.getU32();
   if (version != want_version) {
     throw ProtocolError("unexpected protocol version " +
@@ -210,18 +166,8 @@ FrameHeader checkHeaderWords(xdr::Source& header, std::uint32_t want_version,
     throw ProtocolError("payload length " + std::to_string(length) +
                         " exceeds limit");
   }
-  return FrameHeader{static_cast<MessageType>(type), length};
-}
-
-/// Parse one full header (any mode) from exactly headerBytes(mode) bytes.
-FrameHeader parseHeader(std::span<const std::uint8_t> bytes, WireMode mode,
-                        const std::string& peer) {
-  xdr::Decoder header(bytes);
-  FrameHeader fh = checkHeaderWords(
-      header, mode == WireMode::V1 ? kVersion : kVersion2, peer);
-  if (mode != WireMode::V1) {
-    fh.call_id = header.getU64();
-  }
+  FrameHeader fh{static_cast<MessageType>(type), length, 0, {}};
+  if (mode != WireMode::V1) fh.call_id = header.getU64();
   if (mode == WireMode::V2Traced) {
     fh.trace.trace_id = header.getU64();
     fh.trace.parent_span = header.getU64();
@@ -231,22 +177,11 @@ FrameHeader parseHeader(std::span<const std::uint8_t> bytes, WireMode mode,
 
 }  // namespace
 
-FrameHeader recvHeader(transport::Stream& stream) {
-  std::uint8_t header_bytes[kHeaderBytes];
-  stream.recvAll(header_bytes);
-  return parseHeader(header_bytes, WireMode::V1, stream.peerName());
-}
-
-FrameHeader recvHeaderV2(transport::Stream& stream) {
-  std::uint8_t header_bytes[kHeaderBytesV2];
-  stream.recvAll(header_bytes);
-  return parseHeader(header_bytes, WireMode::V2, stream.peerName());
-}
-
-FrameHeader recvHeaderV2Traced(transport::Stream& stream) {
+FrameHeader recvHeader(transport::Stream& stream, WireMode mode) {
   std::uint8_t header_bytes[kHeaderBytesV2Traced];
-  stream.recvAll(header_bytes);
-  return parseHeader(header_bytes, WireMode::V2Traced, stream.peerName());
+  const std::span<std::uint8_t> header{header_bytes, headerBytes(mode)};
+  stream.recvAll(header);
+  return parseHeader(header, mode, stream.peerName());
 }
 
 void FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
@@ -296,54 +231,14 @@ std::optional<Frame> FrameAssembler::next() {
   return frame;
 }
 
-namespace {
-
-/// Encode the mode's header layout into `out`; returns its length.
-std::size_t encodeModeHeader(WireMode mode, MessageType type,
-                             std::size_t length, std::uint64_t call_id,
-                             const WireTraceContext& ctx,
-                             std::uint8_t out[kHeaderBytesV2Traced]) {
-  switch (mode) {
-    case WireMode::V1:
-      encodeHeader(type, length, out);
-      break;
-    case WireMode::V2:
-      encodeHeaderV2(type, length, call_id, out);
-      break;
-    case WireMode::V2Traced:
-      encodeHeaderV2Traced(type, length, call_id, ctx, out);
-      break;
-  }
-  return headerBytes(mode);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> flattenFrame(WireMode mode, MessageType type,
-                                       std::uint64_t call_id,
-                                       const WireTraceContext& ctx,
-                                       const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  std::uint8_t header[kHeaderBytesV2Traced];
-  const std::size_t header_len =
-      encodeModeHeader(mode, type, body.size(), call_id, ctx, header);
-  std::vector<std::uint8_t> out;
-  out.reserve(header_len + body.size());
-  out.insert(out.end(), header, header + header_len);
-  body.appendTo(out);  // copies borrowed segments, byteswapped
-  return out;
-}
-
 common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
                                         std::uint64_t call_id,
                                         const WireTraceContext& ctx,
                                         const xdr::Encoder& body) {
-  NINF_REQUIRE(body.size() <= kMaxPayload, "payload too large");
-  std::uint8_t header[kHeaderBytesV2Traced];
-  const std::size_t header_len =
-      encodeModeHeader(mode, type, body.size(), call_id, ctx, header);
-  common::PooledBuffer out = common::acquireBuffer(header_len + body.size());
-  out.append({header, header_len});
+  const EncodedHeader header =
+      encodeHeader(mode, type, body.size(), call_id, ctx);
+  common::PooledBuffer out = common::acquireBuffer(header.size + body.size());
+  out.append(header.span());
   BufferSink sink(out);
   body.emitTo(sink);  // copies borrowed segments, byteswapped
   return out;
@@ -353,12 +248,11 @@ common::PooledBuffer frameFromPayload(WireMode mode, MessageType type,
                                       std::uint64_t call_id,
                                       const WireTraceContext& ctx,
                                       std::span<const std::uint8_t> payload) {
-  NINF_REQUIRE(payload.size() <= kMaxPayload, "payload too large");
-  std::uint8_t header[kHeaderBytesV2Traced];
-  const std::size_t header_len =
-      encodeModeHeader(mode, type, payload.size(), call_id, ctx, header);
-  common::PooledBuffer out = common::acquireBuffer(header_len + payload.size());
-  out.append({header, header_len});
+  const EncodedHeader header =
+      encodeHeader(mode, type, payload.size(), call_id, ctx);
+  common::PooledBuffer out =
+      common::acquireBuffer(header.size + payload.size());
+  out.append(header.span());
   out.append(payload);
   return out;
 }

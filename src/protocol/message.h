@@ -1,10 +1,10 @@
 // Ninf RPC message framing.
 //
-// Every message is a fixed 16-byte header (magic, version, type, payload
-// length) followed by an XDR payload.  The call sequence implements the
-// paper's two-stage RPC (section 2.3): the client first queries the
-// interface, receives the compiled IDL information as interpretable code,
-// then marshals arguments accordingly.
+// Every message is a header (magic, version, type, payload length, then
+// whatever fields its layout adds) followed by an XDR payload.  The call
+// sequence implements the paper's two-stage RPC (section 2.3): the client
+// first queries the interface, receives the compiled IDL information as
+// interpretable code, then marshals arguments accordingly.
 //
 //   client                       server
 //     | -- QueryInterface -------> |
@@ -40,6 +40,10 @@
 // the call ID (40-byte header).  Peers that never send — or never echo —
 // the feature word see byte-identical framing to plain v2, and v1 peers
 // see no change at all.
+//
+// The three layouts are one codec keyed by WireMode: one header encoder
+// and one header parser, used by the streamed send, the flattened frame
+// builders, the blocking header reader and the FrameAssembler alike.
 #pragma once
 
 #include <array>
@@ -139,44 +143,41 @@ struct FrameHeader {
   WireTraceContext trace;     // traced-v2 context; zeros otherwise
 };
 
-/// Serialize and send one message from a contiguous payload.
-void sendMessage(transport::Stream& stream, MessageType type,
-                 std::span<const std::uint8_t> payload);
+/// Frame layout in force on a connection: v1 lock-step (16-byte
+/// headers), negotiated v2 (24 bytes, call ID), or traced v2 (40 bytes,
+/// call ID + trace context).
+enum class WireMode { V1, V2, V2Traced };
+
+/// Header bytes of one frame in the given mode.
+constexpr std::size_t headerBytes(WireMode mode) {
+  return mode == WireMode::V1      ? kHeaderBytes
+         : mode == WireMode::V2    ? kHeaderBytesV2
+                                   : kHeaderBytesV2Traced;
+}
+
+// `call_id` and `ctx` are ignored by modes whose header does not carry
+// them, so v1 callers leave them defaulted.
 
 /// Streamed scatter-gather send: the frame header, the encoder's owned
 /// bytes, and byteswapped chunks of its borrowed double arrays go to the
 /// stream via sendv — the message is never materialized contiguously.
 void sendMessage(transport::Stream& stream, MessageType type,
-                 const xdr::Encoder& body);
+                 const xdr::Encoder& body, WireMode mode = WireMode::V1,
+                 std::uint64_t call_id = 0, const WireTraceContext& ctx = {});
 
-/// v2 frames: as above plus the call ID in the 24-byte header.
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id,
-                   std::span<const std::uint8_t> payload);
-void sendMessageV2(transport::Stream& stream, MessageType type,
-                   std::uint64_t call_id, const xdr::Encoder& body);
+/// Send one frame around an already-contiguous payload.
+void sendMessage(transport::Stream& stream, MessageType type,
+                 std::span<const std::uint8_t> payload,
+                 WireMode mode = WireMode::V1, std::uint64_t call_id = 0,
+                 const WireTraceContext& ctx = {});
 
-/// Traced v2 frames (connection negotiated kFeatureTraceContext): the
-/// 40-byte header additionally carries the trace context.
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         std::span<const std::uint8_t> payload);
-void sendMessageV2Traced(transport::Stream& stream, MessageType type,
-                         std::uint64_t call_id, const WireTraceContext& ctx,
-                         const xdr::Encoder& body);
-
-/// Read and validate one frame header; throws ProtocolError on bad
-/// magic/version/type/length and TransportError on connection loss.  The
-/// caller must then consume exactly header.length body bytes (BodyReader)
-/// before the next frame.
-FrameHeader recvHeader(transport::Stream& stream);
-
-/// Same for a negotiated-v2 connection (24-byte header with call ID).
-FrameHeader recvHeaderV2(transport::Stream& stream);
-
-/// Same for a connection that negotiated kFeatureTraceContext (40-byte
-/// header with call ID + trace context).
-FrameHeader recvHeaderV2Traced(transport::Stream& stream);
+/// Read and validate one frame header in the given mode; throws
+/// ProtocolError on bad magic/version/type/length (a frame of another
+/// layout fails the version check) and TransportError on connection
+/// loss.  The caller must then consume exactly header.length body bytes
+/// (BodyReader) before the next frame.
+FrameHeader recvHeader(transport::Stream& stream,
+                       WireMode mode = WireMode::V1);
 
 /// Incremental reader over one frame body.  Implements xdr::Source, so
 /// decode logic pulls scalars through a small internal buffer while large
@@ -214,18 +215,6 @@ class BodyReader : public xdr::Source {
 /// small control messages; the call data path uses recvHeader/BodyReader.
 Message recvMessage(transport::Stream& stream);
 
-/// Frame layout in force on a connection: v1 lock-step (16-byte
-/// headers), negotiated v2 (24 bytes, call ID), or traced v2 (40 bytes,
-/// call ID + trace context).
-enum class WireMode { V1, V2, V2Traced };
-
-/// Header bytes of one frame in the given mode.
-constexpr std::size_t headerBytes(WireMode mode) {
-  return mode == WireMode::V1      ? kHeaderBytes
-         : mode == WireMode::V2    ? kHeaderBytesV2
-                                   : kHeaderBytesV2Traced;
-}
-
 /// One complete frame popped off a FrameAssembler: the validated header
 /// plus the materialized body.  The body lives in a pool slab so the
 /// per-frame steady state costs no heap traffic; moving the Frame moves
@@ -239,7 +228,7 @@ struct Frame {
 /// Incremental frame reassembly for event-driven servers: raw bytes read
 /// off a non-blocking socket are fed in as they arrive, complete frames
 /// pop out.  A frame is parsed in two steps — header first (validated
-/// exactly as recvHeader* would), then the body once all of it is
+/// exactly as recvHeader would), then the body once all of it is
 /// buffered — so a slow peer dribbling one byte at a time costs buffer
 /// space, never a blocked thread.  setMode() takes effect at the next
 /// frame boundary (Hello negotiation upgrades a connection mid-stream).
@@ -288,21 +277,12 @@ class FrameAssembler {
   FrameHeader header_{};  // valid while have_header_
 };
 
-/// Materialize one wire frame (header + body) into owned contiguous
-/// bytes, byteswapping any borrowed double arrays through the encoder's
-/// scratch path.  This is the reactor's epilogue step: the returned
-/// buffer is self-contained (no keepalive needed) and ready for a
-/// non-blocking write queue.  `call_id` and `ctx` are ignored by modes
-/// whose header does not carry them.
-std::vector<std::uint8_t> flattenFrame(WireMode mode, MessageType type,
-                                       std::uint64_t call_id,
-                                       const WireTraceContext& ctx,
-                                       const xdr::Encoder& body);
-
-/// flattenFrame into a pool slab instead of a fresh vector — the
-/// steady-state reply path of the reactor pipeline, where the epilogue
-/// flattens on a worker and the slab travels to the reactor's write
-/// queue and back to the pool after the writev.
+/// Materialize one wire frame (header + body) into a pool slab,
+/// byteswapping any borrowed double arrays through the encoder's scratch
+/// path.  This is the reactor's reply path and the client's small-frame
+/// group commit: the returned buffer is self-contained (no keepalive
+/// needed) and ready for a write queue, and the slab goes back to the
+/// pool after the writev.
 common::PooledBuffer flattenFramePooled(WireMode mode, MessageType type,
                                         std::uint64_t call_id,
                                         const WireTraceContext& ctx,

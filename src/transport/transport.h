@@ -58,6 +58,16 @@ class Stream {
   static constexpr std::chrono::steady_clock::time_point kNoDeadline =
       std::chrono::steady_clock::time_point::max();
 
+  /// Absolute deadline `seconds` from now; kNoDeadline when seconds <= 0.
+  static std::chrono::steady_clock::time_point deadlineIn(double seconds) {
+    return seconds > 0
+               ? std::chrono::steady_clock::now() +
+                     std::chrono::duration_cast<
+                         std::chrono::steady_clock::duration>(
+                         std::chrono::duration<double>(seconds))
+               : kNoDeadline;
+  }
+
   /// Absolute bound for subsequent send/recv operations: an operation
   /// still incomplete when the deadline passes throws ninf::TimeoutError.
   /// The socket streams poll before each syscall.  Pass kNoDeadline to
@@ -66,15 +76,7 @@ class Stream {
   virtual void setDeadline(std::chrono::steady_clock::time_point deadline) = 0;
 
   /// Convenience: deadline `seconds` from now; <= 0 disables.
-  void setDeadlineIn(double seconds) {
-    if (seconds <= 0) {
-      clearDeadline();
-      return;
-    }
-    setDeadline(std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(seconds)));
-  }
+  void setDeadlineIn(double seconds) { setDeadline(deadlineIn(seconds)); }
 
   void clearDeadline() { setDeadline(kNoDeadline); }
 

@@ -88,10 +88,10 @@ TEST(HotPath, FrameAssemblerCompactionIsAmortizedLinear) {
   std::vector<std::uint8_t> wire;
   constexpr int kFrames = 4000;
   for (int i = 0; i < kFrames; ++i) {
-    const auto frame = protocol::flattenFrame(
+    const auto frame = protocol::flattenFramePooled(
         protocol::WireMode::V2, protocol::MessageType::Ping,
         static_cast<std::uint64_t>(i), {}, body);
-    wire.insert(wire.end(), frame.begin(), frame.end());
+    wire.insert(wire.end(), frame.span().begin(), frame.span().end());
   }
 
   std::size_t frames_out = 0;

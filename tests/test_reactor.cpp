@@ -522,12 +522,12 @@ TEST(ReactorInline, PipelinedInlineAnswersKeepOrderAndConnections) {
                                  : kind == kUnknown ? unknown
                                  : kind == kSubmit  ? submit
                                                     : truncated;
-      const auto frame = protocol::flattenFrame(
+      const auto frame = protocol::flattenFramePooled(
           mode,
           kind == kSubmit ? MessageType::SubmitRequest
                           : MessageType::CallRequest,
           static_cast<std::uint64_t>(i + 1), {}, body);
-      wire.insert(wire.end(), frame.begin(), frame.end());
+      wire.insert(wire.end(), frame.span().begin(), frame.span().end());
     }
     return wire;
   };
@@ -560,7 +560,8 @@ TEST(ReactorInline, PipelinedInlineAnswersKeepOrderAndConnections) {
   }
   std::set<std::uint64_t> answered;
   for (int i = 0; i < kFrames; ++i) {
-    const protocol::FrameHeader header = protocol::recvHeaderV2(*v2);
+    const protocol::FrameHeader header =
+        protocol::recvHeader(*v2, protocol::WireMode::V2);
     std::vector<std::uint8_t> body(header.length);
     v2->recvAll(body);
     ASSERT_GE(header.call_id, 1u);
@@ -575,8 +576,10 @@ TEST(ReactorInline, PipelinedInlineAnswersKeepOrderAndConnections) {
   const std::vector<std::uint8_t> token = {4, 2};
   protocol::sendMessage(*v1, MessageType::Ping, token);
   EXPECT_EQ(protocol::recvMessage(*v1).type, MessageType::Pong);
-  protocol::sendMessageV2(*v2, MessageType::Ping, 99, token);
-  const protocol::FrameHeader pong = protocol::recvHeaderV2(*v2);
+  protocol::sendMessage(*v2, MessageType::Ping, token, protocol::WireMode::V2,
+                        99);
+  const protocol::FrameHeader pong =
+      protocol::recvHeader(*v2, protocol::WireMode::V2);
   EXPECT_EQ(pong.type, MessageType::Pong);
   EXPECT_EQ(pong.call_id, 99u);
   std::vector<std::uint8_t> pong_body(pong.length);
@@ -588,9 +591,9 @@ TEST(ReactorInline, PipelinedInlineAnswersKeepOrderAndConnections) {
   {
     auto gone = dial();
     std::vector<std::uint8_t> wire = burst(protocol::WireMode::V1);
-    const auto staged = protocol::flattenFrame(
+    const auto staged = protocol::flattenFramePooled(
         protocol::WireMode::V1, MessageType::CallRequest, 0, {}, submit);
-    wire.insert(wire.end(), staged.begin(), staged.end());
+    wire.insert(wire.end(), staged.span().begin(), staged.span().end());
     gone->sendAll(wire);
     gone->close();
   }
@@ -760,8 +763,10 @@ TEST_F(NodeReactorTest, HelloAgreesOnV2AndEchoesOnlySharding) {
   // the request's call id.
   xdr::Encoder query;
   query.putU64(0);  // known ring epoch
-  protocol::sendMessageV2(*stream, MessageType::RingQuery, 7, query);
-  const protocol::FrameHeader header = protocol::recvHeaderV2(*stream);
+  protocol::sendMessage(*stream, MessageType::RingQuery, query,
+                        protocol::WireMode::V2, 7);
+  const protocol::FrameHeader header =
+      protocol::recvHeader(*stream, protocol::WireMode::V2);
   ASSERT_EQ(header.type, MessageType::RingInfo);
   EXPECT_EQ(header.call_id, 7u);
   std::vector<std::uint8_t> body(header.length);

@@ -282,7 +282,8 @@ TEST(ChannelStall, MidReplyStallBoundsDeadlinedCallAndBreaksChannel) {
     ack.putU32(protocol::kVersion2);
     protocol::sendMessage(*s_end, protocol::MessageType::HelloAck,
                           ack.bytes());
-    const auto request = protocol::recvHeaderV2(*s_end);
+    const auto request =
+        protocol::recvHeader(*s_end, protocol::WireMode::V2);
     protocol::BodyReader body(*s_end, request.length);
     body.drain();
     // Reply header promises 64 body bytes; deliver 8, then go mute.
