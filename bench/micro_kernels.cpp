@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "numlib/blas.h"
+#include "numlib/dgemm_kernels.h"
 #include "numlib/ep.h"
 #include "numlib/lu.h"
 #include "numlib/matrix.h"
@@ -69,6 +70,7 @@ void BM_LuBlocked(benchmark::State& state) {
   state.counters["Mflops"] = benchmark::Counter(
       numlib::linpackFlops(n) / 1e6 * state.iterations(),
       benchmark::Counter::kIsRate);
+  state.SetLabel(numlib::detail::selectedDgemmKernel().name);
 }
 BENCHMARK(BM_LuBlocked)->Arg(128)->Arg(256)->Arg(512);
 
@@ -120,8 +122,33 @@ void BM_DgemmAcc(benchmark::State& state) {
   state.counters["Mflops"] = benchmark::Counter(
       2.0 * m * m * nb / 1e6 * state.iterations(),
       benchmark::Counter::kIsRate);
+  state.SetLabel(numlib::detail::selectedDgemmKernel().name);
 }
 BENCHMARK(BM_DgemmAcc);
+
+// The narrow updates at the bottom of blocked LU's recursive panel
+// (panelFactor halves 32 -> 16 -> 8 -> 4 -> 2 -> 1 columns): with n = 1
+// or 2 columns on each side of the split, C((r - n) x n) -= A((r - n) x n)
+// * B(n x n) for a panel of r rows, here r = 240.  LU at n = 256 makes no
+// other dgemmAcc call narrower than four columns: 128 of these with n = 1
+// and 64 with n = 2 per factorization.
+void BM_DgemmAccNarrow(benchmark::State& state) {
+  const std::size_t n = state.range(0), m = 240 - n, ld = 256;
+  numlib::Matrix a = numlib::randomMatrix(ld, 1);
+  double* panel = a.data() + n;
+  double* b = a.data() + n * ld;
+  double* c = a.data() + n * ld + n;
+  for (auto _ : state) {
+    numlib::dgemmAcc(m, n, n, panel, ld, b, ld, c, ld, -1.0);
+    benchmark::DoNotOptimize(c);
+    benchmark::ClobberMemory();
+  }
+  state.counters["Mflops"] = benchmark::Counter(
+      2.0 * m * n * n / 1e6 * state.iterations(),
+      benchmark::Counter::kIsRate);
+  state.SetLabel(numlib::detail::selectedDgemmKernel().name);
+}
+BENCHMARK(BM_DgemmAccNarrow)->Arg(1)->Arg(2);
 
 void BM_EpKernel(benchmark::State& state) {
   const std::int64_t pairs = state.range(0);

@@ -5,6 +5,16 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "numlib/dgemm_kernels.h"
+
+// The AVX2/FMA kernel is compiled on x86 GCC and Clang builds only, at the
+// baseline ISA, with the wider instructions enabled per function.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define NINF_NUMLIB_AVX2_KERNEL 1
+#include <immintrin.h>
+#else
+#define NINF_NUMLIB_AVX2_KERNEL 0
+#endif
 
 namespace ninf::numlib {
 
@@ -99,11 +109,168 @@ void edgeTile(std::size_t mr, std::size_t nr, std::size_t k, const double* a,
   }
 }
 
+#if NINF_NUMLIB_AVX2_KERNEL
+
+#define NINF_AVX2_FMA __attribute__((target("avx2,fma")))
+
+/// c[0..3] += alpha * acc, lanes outside `mask` untouched when Masked.
+template <bool Masked>
+NINF_AVX2_FMA void update4(double* c, __m256d acc, __m256d alpha,
+                           __m256i mask) {
+  if constexpr (Masked) {
+    _mm256_maskstore_pd(
+        c, mask, _mm256_fmadd_pd(alpha, acc, _mm256_maskload_pd(c, mask)));
+  } else {
+    _mm256_storeu_pd(c, _mm256_fmadd_pd(alpha, acc, _mm256_loadu_pd(c)));
+  }
+}
+
+/// C(8 x NR) += alpha * A(8 x k) * B(k x NR), NR = 1..4.  Each column of
+/// C is two 4-wide FMA accumulators; each pair of A loads feeds NR
+/// columns and each broadcast of B eight rows.  The accumulators are named
+/// variables: GCC at -O2 keeps an accumulator array in memory.
+template <int NR>
+NINF_AVX2_FMA void tile8(std::size_t k, const double* a, std::size_t lda,
+                         const double* b, std::size_t ldb, double* c,
+                         std::size_t ldc, double alpha) {
+  const double* b1 = b + (NR > 1 ? ldb : 0);
+  const double* b2 = b + (NR > 2 ? 2 * ldb : 0);
+  const double* b3 = b + (NR > 3 ? 3 * ldb : 0);
+  __m256d c00 = _mm256_setzero_pd(), c10 = c00, c01 = c00, c11 = c00,
+          c02 = c00, c12 = c00, c03 = c00, c13 = c00;
+  for (std::size_t p = 0; p < k; ++p) {
+    const __m256d a0 = _mm256_loadu_pd(a + p * lda);
+    const __m256d a1 = _mm256_loadu_pd(a + p * lda + 4);
+    __m256d bp = _mm256_broadcast_sd(b + p);
+    c00 = _mm256_fmadd_pd(a0, bp, c00);
+    c10 = _mm256_fmadd_pd(a1, bp, c10);
+    if constexpr (NR > 1) {
+      bp = _mm256_broadcast_sd(b1 + p);
+      c01 = _mm256_fmadd_pd(a0, bp, c01);
+      c11 = _mm256_fmadd_pd(a1, bp, c11);
+    }
+    if constexpr (NR > 2) {
+      bp = _mm256_broadcast_sd(b2 + p);
+      c02 = _mm256_fmadd_pd(a0, bp, c02);
+      c12 = _mm256_fmadd_pd(a1, bp, c12);
+    }
+    if constexpr (NR > 3) {
+      bp = _mm256_broadcast_sd(b3 + p);
+      c03 = _mm256_fmadd_pd(a0, bp, c03);
+      c13 = _mm256_fmadd_pd(a1, bp, c13);
+    }
+  }
+  const __m256d va = _mm256_set1_pd(alpha);
+  const __m256i all = _mm256_set1_epi64x(-1);
+  update4<false>(c, c00, va, all);
+  update4<false>(c + 4, c10, va, all);
+  if constexpr (NR > 1) {
+    update4<false>(c + ldc, c01, va, all);
+    update4<false>(c + ldc + 4, c11, va, all);
+  }
+  if constexpr (NR > 2) {
+    update4<false>(c + 2 * ldc, c02, va, all);
+    update4<false>(c + 2 * ldc + 4, c12, va, all);
+  }
+  if constexpr (NR > 3) {
+    update4<false>(c + 3 * ldc, c03, va, all);
+    update4<false>(c + 3 * ldc + 4, c13, va, all);
+  }
+}
+
+/// C(4 x NR) += alpha * A(4 x k) * B(k x NR): one accumulator per column.
+/// Masked, only the rows set in `mask` (a prefix of 1-3 lanes) are read
+/// from A and C or written to C.
+template <int NR, bool Masked>
+NINF_AVX2_FMA void tile4(std::size_t k, const double* a, std::size_t lda,
+                         const double* b, std::size_t ldb, double* c,
+                         std::size_t ldc, double alpha, __m256i mask) {
+  const double* b1 = b + (NR > 1 ? ldb : 0);
+  const double* b2 = b + (NR > 2 ? 2 * ldb : 0);
+  const double* b3 = b + (NR > 3 ? 3 * ldb : 0);
+  __m256d c0 = _mm256_setzero_pd(), c1 = c0, c2 = c0, c3 = c0;
+  for (std::size_t p = 0; p < k; ++p) {
+    const __m256d ap = Masked ? _mm256_maskload_pd(a + p * lda, mask)
+                              : _mm256_loadu_pd(a + p * lda);
+    c0 = _mm256_fmadd_pd(ap, _mm256_broadcast_sd(b + p), c0);
+    if constexpr (NR > 1) {
+      c1 = _mm256_fmadd_pd(ap, _mm256_broadcast_sd(b1 + p), c1);
+    }
+    if constexpr (NR > 2) {
+      c2 = _mm256_fmadd_pd(ap, _mm256_broadcast_sd(b2 + p), c2);
+    }
+    if constexpr (NR > 3) {
+      c3 = _mm256_fmadd_pd(ap, _mm256_broadcast_sd(b3 + p), c3);
+    }
+  }
+  const __m256d va = _mm256_set1_pd(alpha);
+  update4<Masked>(c, c0, va, mask);
+  if constexpr (NR > 1) update4<Masked>(c + ldc, c1, va, mask);
+  if constexpr (NR > 2) update4<Masked>(c + 2 * ldc, c2, va, mask);
+  if constexpr (NR > 3) update4<Masked>(c + 3 * ldc, c3, va, mask);
+}
+
+/// NR columns of C, all m rows: 8-row tiles, then at most one 4-row tile
+/// and one masked tile for the last 1-3 rows.
+template <int NR>
+NINF_AVX2_FMA void columnsAvx2(std::size_t m, std::size_t k, const double* a,
+                               std::size_t lda, const double* b,
+                               std::size_t ldb, double* c, std::size_t ldc,
+                               double alpha) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    tile8<NR>(k, a + i, lda, b, ldb, c + i, ldc, alpha);
+  }
+  if (i + 4 <= m) {
+    tile4<NR, false>(k, a + i, lda, b, ldb, c + i, ldc, alpha, all);
+    i += 4;
+  }
+  if (i < m) {
+    const __m256i rows = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(m - i)),
+        _mm256_set_epi64x(3, 2, 1, 0));
+    tile4<NR, true>(k, a + i, lda, b, ldb, c + i, ldc, alpha, rows);
+  }
+}
+
+/// The whole AVX2/FMA kernel: columnsAvx2<4> over every four columns of
+/// C, then one narrower columnsAvx2 for the last 1-3.
+NINF_AVX2_FMA void dgemmAccAvx2Fma(std::size_t m, std::size_t n,
+                                   std::size_t k, const double* a,
+                                   std::size_t lda, const double* b,
+                                   std::size_t ldb, double* c,
+                                   std::size_t ldc, double alpha) {
+  if (alpha == 0.0 || k == 0) return;
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    columnsAvx2<4>(m, k, a, lda, b + j * ldb, ldb, c + j * ldc, ldc, alpha);
+  }
+  switch (n - j) {
+    case 3:
+      columnsAvx2<3>(m, k, a, lda, b + j * ldb, ldb, c + j * ldc, ldc, alpha);
+      break;
+    case 2:
+      columnsAvx2<2>(m, k, a, lda, b + j * ldb, ldb, c + j * ldc, ldc, alpha);
+      break;
+    case 1:
+      columnsAvx2<1>(m, k, a, lda, b + j * ldb, ldb, c + j * ldc, ldc, alpha);
+      break;
+    default:
+      break;
+  }
+}
+
+#endif  // NINF_NUMLIB_AVX2_KERNEL
+
 }  // namespace
 
-void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
-              std::size_t lda, const double* b, std::size_t ldb, double* c,
-              std::size_t ldc, double alpha) {
+namespace detail {
+
+void dgemmAccPortable(std::size_t m, std::size_t n, std::size_t k,
+                      const double* a, std::size_t lda, const double* b,
+                      std::size_t ldb, double* c, std::size_t ldc,
+                      double alpha) {
   if (alpha == 0.0 || k == 0) return;
   const std::size_t m4 = m - m % 4;
   const std::size_t n4 = n - n % 4;
@@ -116,6 +283,29 @@ void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
     edgeTile(m - m4, 4, k, a + m4, lda, bj, ldb, cj + m4, ldc, alpha);
   }
   edgeTile(m, n - n4, k, a, lda, b + n4 * ldb, ldb, c + n4 * ldc, ldc, alpha);
+}
+
+std::vector<DgemmKernel> runnableDgemmKernels() {
+  const DgemmKernel portable{"portable-4x4", &dgemmAccPortable};
+#if NINF_NUMLIB_AVX2_KERNEL
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    return {portable, {"avx2-fma-8x4", &dgemmAccAvx2Fma}};
+  }
+#endif
+  return {portable};
+}
+
+const DgemmKernel& selectedDgemmKernel() {
+  static const DgemmKernel selected = runnableDgemmKernels().back();
+  return selected;
+}
+
+}  // namespace detail
+
+void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
+              std::size_t lda, const double* b, std::size_t ldb, double* c,
+              std::size_t ldc, double alpha) {
+  detail::selectedDgemmKernel().run(m, n, k, a, lda, b, ldb, c, ldc, alpha);
 }
 
 void dtrsmLowerUnit(std::size_t m, std::size_t n, const double* l,

@@ -22,11 +22,18 @@ std::size_t idamax(std::span<const double> x);
 
 /// C(mxn) += alpha * A(mxk) * B(kxn), all column-major with leading
 /// dimensions lda/ldb/ldc; the workhorse of the blocked ("optimized
-/// library") LU path and of dmmul.  C is covered by 4x4 tiles whose sums
-/// stay in vector registers over the whole k loop, so each element of C is
-/// loaded and stored once; rows and columns past the last full tile take a
-/// scalar dot-product path.  alpha == 0 returns at once without reading A
-/// or B, so C stays bit-identical even when they hold NaN or Inf.
+/// library") LU path and of dmmul.  C is covered by register tiles whose
+/// sums stay in vector registers over the whole k loop, so each element
+/// of C is loaded and stored once.  Two micro-kernels (dgemm_kernels.h)
+/// implement it, and the first call picks one for the whole process:
+///  * on CPUs with AVX2 and FMA, 8x4 tiles of 4-wide FMA accumulators,
+///    with 4-row, masked 1-3-row and 1-3-column tiles for the edges;
+///  * everywhere else, 4x4 tiles in 2-wide SSE2/NEON vectors without FMA,
+///    with a scalar dot product per element of the ragged edge.
+/// The two round differently (FMA), so results may differ in the last
+/// bits between hosts, never within one process.  alpha == 0 returns at
+/// once without reading A or B, so C stays bit-identical even when they
+/// hold NaN or Inf.
 void dgemmAcc(std::size_t m, std::size_t n, std::size_t k, const double* a,
               std::size_t lda, const double* b, std::size_t ldb, double* c,
               std::size_t ldc, double alpha = 1.0);

@@ -10,8 +10,12 @@
 //                       reference as an optimized library should: at
 //                       n = 256 on a 4-vCPU Xeon KVM host (-O2), blocked
 //                       ran at about 0.8-1.0x reference (2.3 vs 2.9 GFLOPS)
-//                       while dgemmAcc was a jki axpy loop, and at about
-//                       2.5x (6.8 vs 2.7 GFLOPS) with the 4x4 tiles.
+//                       while dgemmAcc was a jki axpy loop, at about
+//                       2.5x (6.8 vs 2.7 GFLOPS) with the 4x4 tiles, and
+//                       at about 5-6x (13-19 vs 2.3-2.9 GFLOPS; the 4x4
+//                       tiles read 5.6-7.7 in the same runs) with the
+//                       AVX2/FMA 8x4 tiles the CPU selects when it has
+//                       them.
 //  * threaded blocked — the trailing update fanned across worker threads,
 //                       standing in for the 4-PE libsci sgetrf/sgetrs used
 //                       on the Cray J90 (the "data-parallel" library).

@@ -7,6 +7,12 @@
 
 namespace ninf::numlib {
 
+Matrix::Matrix(std::size_t rows, std::size_t cols,
+               std::span<const double> values)
+    : rows_(rows), cols_(cols), data_(values.begin(), values.end()) {
+  NINF_REQUIRE(values.size() == rows * cols, "matrix value count mismatch");
+}
+
 Matrix randomMatrix(std::size_t n, std::uint64_t seed) {
   Matrix a(n, n);
   SplitMix64 rng(seed);

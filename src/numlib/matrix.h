@@ -18,6 +18,9 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+  /// A copy of `values`, already in column-major order (rows * cols of
+  /// them).
+  Matrix(std::size_t rows, std::size_t cols, std::span<const double> values);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

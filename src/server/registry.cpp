@@ -152,9 +152,7 @@ void registerStandardExecutables(Registry& registry, std::size_t workers) {
       [workers](CallContext& ctx) {
         const auto n = static_cast<std::size_t>(ctx.intArg("n"));
         const auto opt = ctx.intArg("opt");
-        numlib::Matrix a(n, n);
-        const auto a_in = ctx.arrayIn("A");
-        std::copy(a_in.begin(), a_in.end(), a.flat().begin());
+        numlib::Matrix a(n, n, ctx.arrayIn("A"));
         const auto b = ctx.arrayIn("b");
         const auto x = ctx.arrayOut("x");
         std::copy(b.begin(), b.end(), x.begin());

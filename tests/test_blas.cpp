@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -7,6 +8,9 @@
 #include <vector>
 
 #include "numlib/blas.h"
+#include "numlib/dgemm_kernels.h"
+#include "numlib/linpack_driver.h"
+#include "numlib/lu.h"
 #include "numlib/matrix.h"
 
 namespace ninf::numlib {
@@ -103,9 +107,13 @@ TEST(Blas, DtrsmLowerUnitSolves) {
 // Property tests of the level-3 kernels against naive loops.  Operands
 // are windows of larger column-major buffers (leading dimension above the
 // row count, as in LU's submatrix views); every cell outside the output
-// window is a guard that must come back bit-identical.
+// window is a guard that must come back bit-identical.  The dgemmAcc
+// properties are checked on every micro-kernel this CPU can run, not only
+// on the one dgemmAcc picked.
 
-constexpr std::size_t kShapes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 33};
+// Around the 4- and 8-row tiles and their 1-3-row and -column edges.
+constexpr std::size_t kShapes[] = {0,  1,  2,  3,  4,  5,  7,  8,
+                                   9,  12, 15, 16, 17, 24, 31, 33};
 constexpr double kAlphas[] = {1.0, -1.0, 0.5};
 
 /// A rows x cols window at (kRowOffset, kColOffset) of a buffer with
@@ -150,31 +158,34 @@ void expectGuardsIntact(const Window& before, const Window& after,
 }
 
 TEST(BlasProperty, DgemmAccMatchesNaiveOverShapes) {
-  SplitMix64 rng(42);
-  for (const std::size_t m : kShapes) {
-    for (const std::size_t n : kShapes) {
-      for (const std::size_t k : kShapes) {
-        for (const double alpha : kAlphas) {
-          SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
-                                            << " k=" << k << " alpha="
-                                            << alpha);
-          Window a(m, k, rng), b(k, n, rng), c(m, n, rng);
-          const Window c0 = c;
-          dgemmAcc(m, n, k, a.data(), a.ld, b.data(), b.ld, c.data(), c.ld,
-                   alpha);
-          for (std::size_t j = 0; j < n; ++j) {
-            for (std::size_t i = 0; i < m; ++i) {
-              double sum = 0.0, mag = 0.0;
-              for (std::size_t p = 0; p < k; ++p) {
-                sum += a.at(i, p) * b.at(p, j);
-                mag += std::abs(a.at(i, p) * b.at(p, j));
+  for (const auto& kernel : detail::runnableDgemmKernels()) {
+    SCOPED_TRACE(kernel.name);
+    SplitMix64 rng(42);
+    for (const std::size_t m : kShapes) {
+      for (const std::size_t n : kShapes) {
+        for (const std::size_t k : kShapes) {
+          for (const double alpha : kAlphas) {
+            SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
+                                              << " k=" << k << " alpha="
+                                              << alpha);
+            Window a(m, k, rng), b(k, n, rng), c(m, n, rng);
+            const Window c0 = c;
+            kernel.run(m, n, k, a.data(), a.ld, b.data(), b.ld, c.data(),
+                       c.ld, alpha);
+            for (std::size_t j = 0; j < n; ++j) {
+              for (std::size_t i = 0; i < m; ++i) {
+                double sum = 0.0, mag = 0.0;
+                for (std::size_t p = 0; p < k; ++p) {
+                  sum += a.at(i, p) * b.at(p, j);
+                  mag += std::abs(a.at(i, p) * b.at(p, j));
+                }
+                const double expected = c0.at(i, j) + alpha * sum;
+                ASSERT_NEAR(c.at(i, j), expected, 1e-14 * (1.0 + mag))
+                    << "at (" << i << ", " << j << ")";
               }
-              const double expected = c0.at(i, j) + alpha * sum;
-              ASSERT_NEAR(c.at(i, j), expected, 1e-14 * (1.0 + mag))
-                  << "at (" << i << ", " << j << ")";
             }
+            expectGuardsIntact(c0, c, m, n);
           }
-          expectGuardsIntact(c0, c, m, n);
         }
       }
     }
@@ -182,22 +193,94 @@ TEST(BlasProperty, DgemmAccMatchesNaiveOverShapes) {
 }
 
 TEST(BlasProperty, DgemmAccZeroAlphaIgnoresNonFiniteA) {
-  SplitMix64 rng(43);
-  for (const std::size_t m : kShapes) {
-    for (const std::size_t n : kShapes) {
-      const std::size_t k = 5;
-      Window a(m, k, rng), b(k, n, rng), c(m, n, rng);
-      for (std::size_t i = 0; i < m; ++i) {
-        a.at(i, 0) = std::numeric_limits<double>::quiet_NaN();
-        a.at(i, k - 1) = std::numeric_limits<double>::infinity();
-      }
-      const Window c0 = c;
-      dgemmAcc(m, n, k, a.data(), a.ld, b.data(), b.ld, c.data(), c.ld, 0.0);
-      for (std::size_t idx = 0; idx < c.buf.size(); ++idx) {
-        ASSERT_TRUE(bitIdentical(c.buf[idx], c0.buf[idx]))
-            << "m=" << m << " n=" << n << " cell " << idx;
+  for (const auto& kernel : detail::runnableDgemmKernels()) {
+    SplitMix64 rng(43);
+    for (const std::size_t m : kShapes) {
+      for (const std::size_t n : kShapes) {
+        const std::size_t k = 5;
+        Window a(m, k, rng), b(k, n, rng), c(m, n, rng);
+        for (std::size_t i = 0; i < m; ++i) {
+          a.at(i, 0) = std::numeric_limits<double>::quiet_NaN();
+          a.at(i, k - 1) = std::numeric_limits<double>::infinity();
+        }
+        const Window c0 = c;
+        kernel.run(m, n, k, a.data(), a.ld, b.data(), b.ld, c.data(), c.ld,
+                   0.0);
+        for (std::size_t idx = 0; idx < c.buf.size(); ++idx) {
+          ASSERT_TRUE(bitIdentical(c.buf[idx], c0.buf[idx]))
+              << kernel.name << " m=" << m << " n=" << n << " cell " << idx;
+        }
       }
     }
+  }
+}
+
+TEST(BlasKernels, PortableAlwaysRunsAndDgemmAccUsesTheLast) {
+  const auto kernels = detail::runnableDgemmKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front().run, &detail::dgemmAccPortable);
+  EXPECT_EQ(detail::selectedDgemmKernel().run, kernels.back().run);
+  // dgemmAcc is the selected kernel, bit for bit.
+  SplitMix64 rng(45);
+  const std::size_t m = 17, n = 15, k = 12;
+  Window a(m, k, rng), b(k, n, rng), c(m, n, rng);
+  Window c2 = c;
+  dgemmAcc(m, n, k, a.data(), a.ld, b.data(), b.ld, c.data(), c.ld, -1.0);
+  detail::selectedDgemmKernel().run(m, n, k, a.data(), a.ld, b.data(), b.ld,
+                                    c2.data(), c2.ld, -1.0);
+  for (std::size_t idx = 0; idx < c.buf.size(); ++idx) {
+    ASSERT_TRUE(bitIdentical(c.buf[idx], c2.buf[idx])) << "cell " << idx;
+  }
+}
+
+/// Right-looking LU with partial pivoting in the storage convention dgesl
+/// expects (whole rows swapped), in which every update runs on `kernel`:
+/// inside a panel, column j gets (1 x 1) products for its U rows and one
+/// (n-j) x 1 product for the rest; the U12 block takes 1-row products and
+/// the trailing matrix one (n-k-nb)^2 x nb product per panel.
+PivotVector luThroughKernel(const detail::DgemmKernel& kernel, Matrix& a,
+                            std::size_t nb) {
+  const std::size_t n = a.rows();
+  double* d = a.data();
+  const auto at = [&](std::size_t i, std::size_t j) { return d + i + j * n; };
+  PivotVector ipvt(n);
+  for (std::size_t k = 0; k < n; k += nb) {
+    const std::size_t b = std::min(nb, n - k);
+    for (std::size_t j = k; j < k + b; ++j) {
+      for (std::size_t r = k + 1; r < j; ++r) {
+        kernel.run(1, 1, r - k, at(r, k), n, at(k, j), n, at(r, j), n, -1.0);
+      }
+      kernel.run(n - j, 1, j - k, at(j, k), n, at(k, j), n, at(j, j), n,
+                 -1.0);
+      const std::size_t p = j + idamax({at(j, j), n - j});
+      ipvt[j] = p;
+      for (std::size_t c = 0; c < n; ++c) std::swap(*at(j, c), *at(p, c));
+      for (std::size_t i = j + 1; i < n; ++i) *at(i, j) /= *at(j, j);
+    }
+    if (k + b >= n) break;
+    const std::size_t rest = n - k - b;
+    for (std::size_t r = k + 1; r < k + b; ++r) {
+      kernel.run(1, rest, r - k, at(r, k), n, at(k, k + b), n, at(r, k + b),
+                 n, -1.0);
+    }
+    kernel.run(rest, rest, b, at(k + b, k), n, at(k, k + b), n,
+               at(k + b, k + b), n, -1.0);
+  }
+  return ipvt;
+}
+
+TEST(BlasKernels, EachKernelSolvesLinpack256) {
+  // FMA rounds differently, so pivots and solutions may differ between
+  // kernels; each must still meet the LINPACK residual bound.
+  for (const auto& kernel : detail::runnableDgemmKernels()) {
+    Matrix a = randomMatrix(256, 1256);
+    const Matrix original = a;
+    std::vector<double> x = onesRhs(a);
+    const std::vector<double> rhs = x;
+    const PivotVector ipvt = luThroughKernel(kernel, a, 32);
+    dgesl(a, ipvt, x);
+    EXPECT_LT(linpackResidual(original, x, rhs), kResidualThreshold)
+        << kernel.name;
   }
 }
 

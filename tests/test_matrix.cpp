@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "numlib/matrix.h"
 
@@ -18,6 +21,15 @@ TEST(Matrix, ColumnMajorLayout) {
   EXPECT_EQ(flat[1], 2);
   EXPECT_EQ(flat[2], 3);
   EXPECT_EQ(flat[3], 4);
+}
+
+TEST(Matrix, BuiltFromColumnMajorValues) {
+  const std::vector<double> values = {1, 2, 3, 4, 5, 6};
+  const Matrix a(3, 2, values);
+  EXPECT_EQ(a(2, 0), 3);
+  EXPECT_EQ(a(0, 1), 4);
+  EXPECT_TRUE(std::equal(values.begin(), values.end(), a.flat().begin()));
+  EXPECT_THROW(Matrix(2, 2, values), std::logic_error);
 }
 
 TEST(Matrix, ColumnSpansAreContiguous) {
