@@ -8,6 +8,7 @@
 #include "common/batch.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -512,6 +513,7 @@ void Channel::failAllPending(std::exception_ptr error) {
 }
 
 void Channel::readerLoop(transport::Stream* stream, protocol::WireMode mode) {
+  nameThisThread("ninf-chan-rd");
   try {
     for (;;) {
       const protocol::FrameHeader header = protocol::recvHeader(*stream, mode);

@@ -188,30 +188,40 @@ protocol::ServerStatusInfo LocalDirectory::poll(
     const std::string& server_name) {
   const auto state = findByName(server_name);
   if (!state) throw NotFoundError("server '" + server_name + "'");
+  return pollState(*state);
+}
 
+protocol::ServerStatusInfo LocalDirectory::pollState(ServerState& state) {
   // Wire I/O under the per-server poll mutex only, bounded by the poll
   // timeout: a dead or slow server must not hold up the scheduling table.
   protocol::ServerStatusInfo status;
   try {
-    LockGuard poll_lock(state->poll_mutex);
+    LockGuard poll_lock(state.poll_mutex);
     try {
-      status = monitorOf(*state).serverStatus(poll_timeout_);
+      status = monitorOf(state).serverStatus(poll_timeout_);
     } catch (const Error&) {
-      state->monitor.reset();  // reconnect on the next poll
+      state.monitor.reset();  // reconnect on the next poll
       throw;
     }
   } catch (const Error&) {
-    LockGuard cache(state->mutex);
-    state->reachable = false;
+    recordUnreachable(state);
     throw;
   }
-  {
-    LockGuard cache(state->mutex);
-    state->last_status = status;
-    state->last_status_time = nowSeconds();
-    state->reachable = true;
-  }
+  recordStatus(state, status);
   return status;
+}
+
+void LocalDirectory::recordStatus(ServerState& state,
+                                  const protocol::ServerStatusInfo& status) {
+  LockGuard cache(state.mutex);
+  state.last_status = status;
+  state.last_status_time = nowSeconds();
+  state.reachable = true;
+}
+
+void LocalDirectory::recordUnreachable(ServerState& state) {
+  LockGuard cache(state.mutex);
+  state.reachable = false;
 }
 
 protocol::ServerStatusInfo LocalDirectory::lastStatus(
@@ -253,84 +263,87 @@ void LocalDirectory::adoptLiveness(
   }
 }
 
+std::vector<std::shared_ptr<ServerState>> LocalDirectory::pollsNeeded(
+    const std::vector<std::string>& excluded) const {
+  // RoundRobin is oblivious: no polling at all.
+  if (policy_ == SchedulingPolicy::RoundRobin) return {};
+  const double now = nowSeconds();
+  std::vector<std::shared_ptr<ServerState>> out;
+  for (auto& state : states()) {
+    // Excluded: never picked, so don't poll it either.
+    if (named(excluded, state->entry.name)) continue;
+    bool fresh = false;
+    {
+      LockGuard cache(state->mutex);
+      fresh = status_freshness_ > 0 && state->reachable &&
+              state->last_status_time > 0 &&
+              now - state->last_status_time <= status_freshness_;
+    }
+    if (!fresh) out.push_back(std::move(state));
+  }
+  return out;
+}
+
+std::vector<Candidate> LocalDirectory::cachedCandidates(
+    const std::string& entry_name,
+    const std::vector<std::string>& excluded) const {
+  if (policy_ == SchedulingPolicy::RoundRobin) return {};
+  std::vector<Candidate> out;
+  for (auto& state : states()) {
+    if (named(excluded, state->entry.name)) continue;
+    Candidate c;
+    // A declared entry list prunes without any wire I/O.
+    const auto& entries = state->entry.entries;
+    c.exports = entries.empty() || named(entries, entry_name);
+    {
+      LockGuard cache(state->mutex);
+      c.reachable = state->reachable;
+      c.status = state->last_status;
+    }
+    c.state = std::move(state);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 std::vector<Candidate> LocalDirectory::snapshot(
     const std::string& entry_name, std::span<const protocol::ArgValue> args,
     const std::vector<std::string>& excluded) {
-  // RoundRobin is oblivious: no polling at all.
-  if (policy_ == SchedulingPolicy::RoundRobin) return {};
-
-  const auto table = states();
-  const bool want_iface = policy_ == SchedulingPolicy::BandwidthAware;
-
-  std::vector<Candidate> out;
-  out.reserve(table.size());
-  for (const auto& state : table) {
-    // Excluded: never picked, so don't poll it either.
-    if (named(excluded, state->entry.name)) continue;
-    Candidate c;
-    c.state = state;
-    ServerState* st = state.get();
-
-    // A declared entry list prunes without any wire I/O.
-    if (!st->entry.entries.empty() &&
-        std::find(st->entry.entries.begin(), st->entry.entries.end(),
-                  entry_name) == st->entry.entries.end()) {
-      c.exports = false;
+  // Each poll is bounded by the poll timeout, so one stalled server
+  // delays a dispatch (and any dispatcher queued on its poll mutex) by a
+  // bounded amount, and is simply unreachable for this round.
+  for (const auto& state : pollsNeeded(excluded)) {
+    try {
+      pollState(*state);
+    } catch (const Error&) {
+      // Recorded as unreachable.
     }
-
-    // Reuse a fresh-enough cached status instead of another round-trip.
-    bool have_status = false;
-    {
-      LockGuard cache(st->mutex);
-      if (status_freshness_ > 0 && st->reachable &&
-          st->last_status_time > 0 &&
-          nowSeconds() - st->last_status_time <= status_freshness_) {
-        c.status = st->last_status;
-        have_status = true;
-      }
-    }
-
-    if (have_status && !want_iface) {
-      c.reachable = true;
-      out.push_back(std::move(c));
-      continue;
-    }
-
-    {
-      // Bounded wire I/O: each monitor round-trip gets at most the poll
-      // timeout, so one stalled server delays a dispatch (and any other
-      // dispatcher queued on this poll mutex) by a bounded amount, and
-      // a timed-out server is simply unreachable for this round.
-      LockGuard poll_lock(st->poll_mutex);
+  }
+  std::vector<Candidate> out = cachedCandidates(entry_name, excluded);
+  if (policy_ != SchedulingPolicy::BandwidthAware) return out;
+  for (auto& c : out) {
+    if (!c.reachable || !c.exports) continue;
+    ServerState& st = *c.state;
+    try {
+      LockGuard poll_lock(st.poll_mutex);
       try {
-        auto& mon = monitorOf(*st);
-        if (!have_status) c.status = mon.serverStatus(poll_timeout_);
-        c.reachable = true;
-        if (want_iface && c.exports) {
-          // The interface query rides the same monitor connection; the
-          // client caches it, so repeat decisions cost no extra I/O.
-          const auto& info = mon.queryInterface(entry_name, poll_timeout_);
-          const auto scalars = protocol::scalarArgs(info, args);
-          c.bytes = static_cast<double>(info.bytesTotal(scalars));
-          c.flops = static_cast<double>(info.flopsEstimate(scalars));
-        }
+        // The interface query rides the monitor connection; the client
+        // caches it, so repeat decisions cost no extra I/O.
+        const auto& info = monitorOf(st).queryInterface(entry_name,
+                                                        poll_timeout_);
+        const auto scalars = protocol::scalarArgs(info, args);
+        c.bytes = static_cast<double>(info.bytesTotal(scalars));
+        c.flops = static_cast<double>(info.flopsEstimate(scalars));
       } catch (const NotFoundError&) {
         c.exports = false;  // reachable, but no such entry there
       } catch (const Error&) {
-        st->monitor.reset();  // status channel died; reconnect next time
-        c.reachable = false;
+        st.monitor.reset();  // status channel died; reconnect next time
+        throw;
       }
+    } catch (const Error&) {
+      c.reachable = false;
+      recordUnreachable(st);
     }
-
-    {
-      LockGuard cache(st->mutex);
-      st->reachable = c.reachable;
-      if (c.reachable && !have_status) {
-        st->last_status = c.status;
-        st->last_status_time = nowSeconds();
-      }
-    }
-    out.push_back(std::move(c));
   }
   return out;
 }
@@ -413,10 +426,11 @@ std::shared_ptr<ServerState> LocalDirectory::pickAmong(
   double best_score = std::numeric_limits<double>::infinity();
   for (const auto& c : candidates) {
     if (!eligible(c)) continue;
+    // Jobs the server reported running or queued at its last poll.  The
+    // score reads only that status, so decisions that share one poll
+    // see the same numbers (calls routed since are not counted).
     const double queued =
         static_cast<double>(c.status.running + c.status.queued);
-    // LeastLoad counts calls we have routed but whose status poll may
-    // not yet reflect, so bursts spread instead of piling on one server.
     const double score =
         least_load ? c.status.load_average + queued
                    : estimateCompletion(c.bytes, c.flops,
@@ -443,11 +457,8 @@ Target LocalDirectory::acquireTarget(
   target.name = picked->entry.name;
   target.endpoint = picked->entry.endpoint;
   target.factory = picked->entry.factory;
-  {
-    LockGuard cache(picked->mutex);
-    ++picked->dispatched;
-    target.observed_load = picked->last_status.load_average;
-  }
+  LockGuard cache(picked->mutex);
+  target.observed_load = picked->last_status.load_average;
   return target;
 }
 

@@ -17,6 +17,14 @@
 // Callers name a server by its ServerState or by its name, never by its
 // position in the table: a concurrent Deregister shifts positions.
 //
+// A scheduling decision is three steps that do no I/O — which servers
+// need a poll (pollsNeeded), record each poll's outcome (recordStatus /
+// recordUnreachable), then the candidates from the cache
+// (cachedCandidates) — around polls the caller makes however it likes.
+// The metaserver node sends them on its reactor (node.h); snapshot()
+// makes them blocking, one after another, for the in-process Metaserver.
+// The freshness and reachability rules live in these steps only.
+//
 // Two write paths feed a LocalDirectory:
 //  * addServer(): the historical in-process path — caller supplies a
 //    live connection factory directly.
@@ -88,7 +96,8 @@ struct ServerState {
   /// Serializes network I/O on `monitor`.  Never nested inside any
   /// other directory lock.
   Mutex poll_mutex{"directory.poll"};
-  /// Lazy status channel, touched only while polling.
+  /// Lazy blocking status channel of poll() and snapshot(), touched only
+  /// while polling.  The node never opens it: it polls on its reactor.
   std::unique_ptr<client::NinfClient> monitor NINF_GUARDED_BY(poll_mutex);
   /// Cached poll results live under a per-state mutex (not the global
   /// table lock), so reading one server's cache never serializes
@@ -99,15 +108,13 @@ struct ServerState {
   /// Steady seconds; 0 = never polled.
   double last_status_time NINF_GUARDED_BY(mutex) = 0.0;
   bool reachable NINF_GUARDED_BY(mutex) = false;
-  /// Calls routed here by the metaserver.
-  std::uint64_t dispatched NINF_GUARDED_BY(mutex) = 0;
   /// Until this instant the server is shunned after a failed dispatch.
   std::chrono::steady_clock::time_point cooldown_until
       NINF_GUARDED_BY(mutex){};
 };
 
-/// One scheduling-round snapshot of a server, produced by snapshot()
-/// with no global lock held during I/O.
+/// One scheduling-round view of a server, from cachedCandidates() (or
+/// snapshot()).
 struct Candidate {
   std::shared_ptr<ServerState> state;
   bool reachable = false;
@@ -171,13 +178,34 @@ class LocalDirectory {
   /// the world cold.  Unknown server names are ignored.
   void adoptLiveness(const std::vector<protocol::LivenessRecord>& digest);
 
-  // ---- scheduling: snapshot, pick, acquireTarget ----
+  // ---- scheduling: the steps, snapshot, pick, acquireTarget ----
   SchedulingPolicy policy() const { return policy_; }
   std::size_t serverCount() const;
 
-  /// Poll every server not named in `excluded` (honoring the freshness
-  /// window) and return the snapshot the policies decide over.  All
-  /// network I/O happens here, under per-server poll mutexes.
+  /// Servers a decision must poll before it picks: every one not named
+  /// in `excluded` whose cached status is missing, unreachable or older
+  /// than the freshness window (all of them at freshness 0).  Empty for
+  /// RoundRobin, which polls nothing.
+  std::vector<std::shared_ptr<ServerState>> pollsNeeded(
+      const std::vector<std::string>& excluded) const;
+  /// A poll of `state` answered: cache the status, mark it reachable.
+  static void recordStatus(ServerState& state,
+                           const protocol::ServerStatusInfo& status);
+  /// A poll of `state` failed or timed out: unreachable until a poll
+  /// answers again.
+  static void recordUnreachable(ServerState& state);
+  /// What the policies decide over, read from the cache alone: every
+  /// server not named in `excluded`, with its last status and
+  /// reachability.  Empty for RoundRobin.
+  std::vector<Candidate> cachedCandidates(
+      const std::string& entry_name,
+      const std::vector<std::string>& excluded) const;
+
+  /// The three steps with blocking polls in between, each bounded by
+  /// the poll timeout: poll what pollsNeeded() names, then read the
+  /// candidates; BandwidthAware also asks each reachable server for the
+  /// entry's interface to size the call.  All network I/O happens here,
+  /// under per-server poll mutexes.
   std::vector<Candidate> snapshot(const std::string& entry_name,
                                   std::span<const protocol::ArgValue> args,
                                   const std::vector<std::string>& excluded);
@@ -190,7 +218,7 @@ class LocalDirectory {
                                     const std::vector<Candidate>& candidates,
                                     const std::vector<std::string>& excluded);
 
-  /// Connection info of a picked server; counts the dispatch against it.
+  /// Connection info of a picked server.
   Target acquireTarget(const std::shared_ptr<ServerState>& picked);
 
   /// A dispatch through server `server_name` failed: start its cooldown
@@ -209,6 +237,8 @@ class LocalDirectory {
       const protocol::RegistryOp& op) NINF_REQUIRES(mutex_);
   client::NinfClient& monitorOf(ServerState& state)
       NINF_REQUIRES(state.poll_mutex);
+  /// One blocking status poll over `state.monitor`, recorded.
+  protocol::ServerStatusInfo pollState(ServerState& state);
   std::shared_ptr<ServerState> findByName(const std::string& name) const;
   /// Every state in table order, copied under the table lock.
   std::vector<std::shared_ptr<ServerState>> states() const;

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -141,6 +142,7 @@ void Metaserver::startMonitoring(std::chrono::milliseconds interval) {
     monitor_stop_ = false;
   }
   monitor_thread_ = std::thread([this, interval] {
+    nameThisThread("ninf-monitor");
     for (;;) {
       // Poll every known server, tolerating failures.
       for (const auto& name : dir_.serverNames()) {

@@ -5,8 +5,10 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "protocol/message.h"
+#include "transport/tcp_transport.h"
 #include "xdr/xdr.h"
 
 namespace ninf::metaserver {
@@ -14,12 +16,6 @@ namespace ninf::metaserver {
 using protocol::MessageType;
 
 namespace {
-
-/// Schedule-pool size.  A ScheduleQuery blocks only on status polls, and
-/// each server's poll_mutex already serialises polls to that server, so
-/// workers beyond a shard's server count only queue on the poll mutexes;
-/// four covers the small per-shard slices the ring hands out.
-constexpr std::size_t kScheduleWorkers = 4;
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -78,12 +74,12 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
     watchdog_ = std::thread([this] { watchdogLoop(); });
   }
 
-  schedule_pool_ = std::make_unique<ThreadPool>(kScheduleWorkers);
   // v2 with the sharding bit only (no trace context on the control
   // plane); metrics under metaserver.reactor.*.
   reactor_ = std::make_unique<server::Reactor>(
       static_cast<ReactorService&>(*this),
-      server::Reactor::Profile{protocol::kFeatureSharding, "metaserver"},
+      server::Reactor::Profile{protocol::kFeatureSharding, "metaserver",
+                               "ninf-meta-rx"},
       server::Reactor::Options{});
   reactor_->start(listener_);
 }
@@ -91,10 +87,7 @@ void MetaserverNode::serve(std::shared_ptr<transport::Listener> listener) {
 void MetaserverNode::stop() {
   if (stopping_.exchange(true)) return;
   if (listener_) listener_->close();
-  // Reactor before pool: no new query is staged once the loop exits, and
-  // replies of queries still polling are dropped by the stopped reactor.
   if (reactor_) reactor_->stop();
-  if (schedule_pool_) schedule_pool_->drain();
   if (watchdog_.joinable()) watchdog_.join();
   if (repl_) repl_->stop();
 }
@@ -117,6 +110,7 @@ protocol::RingDescriptor MetaserverNode::ringView() const {
 }
 
 void MetaserverNode::watchdogLoop() {
+  nameThisThread("ninf-watchdog");
   const double budget =
       static_cast<double>(opts_.heartbeat_miss_budget) *
       opts_.heartbeat_interval_s;
@@ -151,22 +145,189 @@ void MetaserverNode::promote() {
 common::PooledBuffer MetaserverNode::stageFrame(std::uint64_t conn_id,
                                                 protocol::WireMode mode,
                                                 protocol::Frame frame) {
-  // std::function must be copyable; the frame's slab is move-only.
-  auto f = std::make_shared<protocol::Frame>(std::move(frame));
-  schedule_pool_->submit([this, conn_id, mode, f] {
-    // Empty = the query failed: the reactor still frees the admission
-    // slot (and a v1 client's hold), and closes the connection.
-    common::PooledBuffer wire;
-    try {
-      const Reply reply = scheduleReply(f->body.span());
-      wire = protocol::flattenFramePooled(mode, reply.type, f->header.call_id,
-                                          f->header.trace, reply.body);
-    } catch (const std::exception& e) {
-      NINF_LOG(Warn) << "node schedule query aborted: " << e.what();
+  xdr::Decoder dec(frame.body.span());
+  auto d = std::make_shared<Decision>();
+  d->req = protocol::ScheduleRequest::decode(dec);
+  auto inline_answer = [&](const Reply& reply) {
+    return protocol::flattenFramePooled(mode, reply.type, frame.header.call_id,
+                                        frame.header.trace, reply.body);
+  };
+  const std::uint32_t owner = ownership_.ownerOf(d->req.entry);
+  if (owner != opts_.shard_id) {
+    return inline_answer(
+        wrongShard(d->req.entry, owner, protocol::RedirectReason::NotOwner));
+  }
+  if (!primary_.load(std::memory_order_acquire) ||
+      fenced_.load(std::memory_order_acquire)) {
+    return inline_answer(wrongShard(d->req.entry, opts_.shard_id,
+                                    protocol::RedirectReason::NotPrimary));
+  }
+  static obs::Counter& queries = obs::counter("metaserver.shard.queries");
+  queries.add();
+
+  // Failed servers reported by the client start their cooldown here, so
+  // the knowledge outlives this one query and shields other clients.
+  for (const auto& name : d->req.excluded) {
+    dir_.noteFailure(name, opts_.cooldown_seconds);
+  }
+  d->conn_id = conn_id;
+  d->mode = mode;
+  d->call_id = frame.header.call_id;
+  d->trace = frame.header.trace;
+  for (const auto& state : dir_.pollsNeeded(d->req.excluded)) {
+    if (joinPoll(state, d)) ++d->polls_left;
+  }
+  if (d->polls_left == 0) return inline_answer(choose(d->req));
+  return {};  // staged: endPoll answers once the last poll has ended
+}
+
+bool MetaserverNode::joinPoll(const std::shared_ptr<ServerState>& state,
+                              const DecisionPtr& d) {
+  const auto link = links_.try_emplace(state->entry.endpoint).first;
+  link->second.state = state;
+  if (link->second.in_flight) {
+    // It started before this decision arrived: wait for the next one.
+    link->second.next.push_back(d);
+    return true;
+  }
+  if (!startPoll(link)) return false;
+  link->second.riding.push_back(d);
+  return true;
+}
+
+bool MetaserverNode::startPoll(Links::iterator link) {
+  StatusLink& l = link->second;
+  const std::string& endpoint = link->first;
+  try {
+    if (l.conn == 0) l.conn = dialStatus(endpoint);
+  } catch (const std::exception& e) {
+    NINF_LOG(Debug) << "status poll of " << endpoint << ": " << e.what();
+    LocalDirectory::recordUnreachable(*l.state);
+    return false;
+  }
+  reactor_->queueFrame(
+      l.conn, protocol::frameFromPayload(protocol::WireMode::V1,
+                                         MessageType::ServerStatus, 0, {},
+                                         {}));
+  l.in_flight = true;
+  if (opts_.poll_timeout > 0) {
+    l.deadline = reactor_->postAt(
+        server::Reactor::Clock::now() +
+            std::chrono::duration_cast<server::Reactor::Clock::duration>(
+                std::chrono::duration<double>(opts_.poll_timeout)),
+        [this, endpoint] { onPollTimeout(endpoint); });
+  }
+  return true;
+}
+
+std::uint64_t MetaserverNode::dialStatus(const std::string& endpoint) {
+  const auto colon = endpoint.rfind(':');
+  if (colon == std::string::npos) {
+    throw TransportError("endpoint '" + endpoint + "' is not host:port");
+  }
+  const int port = std::stoi(endpoint.substr(colon + 1));
+  if (port <= 0 || port > 65535) {
+    throw TransportError("endpoint '" + endpoint + "' has no valid port");
+  }
+  return reactor_->dial(
+      transport::tcpConnectNowait(endpoint.substr(0, colon),
+                                  static_cast<std::uint16_t>(port)),
+      {[this, endpoint](std::uint64_t conn, protocol::Frame frame) {
+         onStatusFrame(endpoint, conn, frame);
+       },
+       [this, endpoint](std::uint64_t conn) {
+         onStatusClosed(endpoint, conn);
+       }});
+}
+
+void MetaserverNode::onStatusFrame(const std::string& endpoint,
+                                   std::uint64_t conn,
+                                   const protocol::Frame& frame) {
+  const auto link = links_.find(endpoint);
+  if (link == links_.end() || link->second.conn != conn ||
+      !link->second.in_flight) {
+    throw ProtocolError("unsolicited frame from " + endpoint);
+  }
+  if (frame.header.type != MessageType::StatusReply) {
+    throw ProtocolError("status poll of " + endpoint + " got message type " +
+                        std::to_string(static_cast<std::uint32_t>(
+                            frame.header.type)));
+  }
+  // Throwing (a reply that does not decode) closes the connection, and
+  // onStatusClosed ends the poll as failed.
+  const auto status = protocol::ServerStatusInfo::fromBytes(frame.body.span());
+  endPoll(link, &status);
+}
+
+void MetaserverNode::onStatusClosed(const std::string& endpoint,
+                                    std::uint64_t conn) {
+  const auto link = links_.find(endpoint);
+  if (link == links_.end() || link->second.conn != conn) return;  // stale
+  link->second.conn = 0;  // dialed again by the next poll
+  if (link->second.in_flight) endPoll(link, nullptr);
+}
+
+void MetaserverNode::onPollTimeout(const std::string& endpoint) {
+  const auto link = links_.find(endpoint);
+  if (link == links_.end() || !link->second.in_flight) return;
+  static obs::Counter& timeouts =
+      obs::counter("metaserver.status_poll_timeouts");
+  timeouts.add();
+  // A late answer must not be read as the next poll's: drop the
+  // connection (its close is now stale) and dial afresh.
+  reactor_->close(link->second.conn);
+  link->second.conn = 0;
+  endPoll(link, nullptr);
+}
+
+void MetaserverNode::endPoll(Links::iterator link,
+                             const protocol::ServerStatusInfo* status) {
+  StatusLink& l = link->second;
+  reactor_->cancel(l.deadline);
+  l.in_flight = false;
+  if (status != nullptr) {
+    LocalDirectory::recordStatus(*l.state, *status);
+  } else {
+    LocalDirectory::recordUnreachable(*l.state);
+  }
+  std::vector<DecisionPtr> ended;
+  ended.swap(l.riding);
+  if (!l.next.empty()) {
+    if (startPoll(link)) {
+      l.riding.swap(l.next);
+    } else {
+      ended.insert(ended.end(), l.next.begin(), l.next.end());
+      l.next.clear();
     }
-    reactor_->postFinish(conn_id, std::move(wire));
-  });
-  return {};  // always staged: the query may wait on status polls
+  }
+  // Answering may stage new queries on this thread, which can add or
+  // drop links: `link` is not touched past this point.
+  for (const DecisionPtr& d : ended) {
+    if (--d->polls_left == 0) decide(*d);
+  }
+}
+
+void MetaserverNode::dropLink(const std::string& endpoint) {
+  const auto link = links_.find(endpoint);
+  // A link with a poll in flight stays until a re-registration reuses it
+  // or its server closes it.
+  if (link == links_.end() || link->second.in_flight) return;
+  if (link->second.conn != 0) reactor_->close(link->second.conn);
+  links_.erase(link);
+}
+
+void MetaserverNode::decide(const Decision& d) {
+  // Empty = the decision failed: the reactor still frees the admission
+  // slot (and a v1 client's hold), and closes the connection.
+  common::PooledBuffer wire;
+  try {
+    const Reply reply = choose(d.req);
+    wire = protocol::flattenFramePooled(d.mode, reply.type, d.call_id,
+                                        d.trace, reply.body);
+  } catch (const std::exception& e) {
+    NINF_LOG(Warn) << "node schedule query aborted: " << e.what();
+  }
+  reactor_->finishStagedCall(d.conn_id, std::move(wire));
 }
 
 MetaserverNode::Reply MetaserverNode::controlReply(
@@ -200,32 +361,12 @@ MetaserverNode::Reply MetaserverNode::wrongShard(
   return encoded(MessageType::WrongShard, info);
 }
 
-MetaserverNode::Reply MetaserverNode::scheduleReply(
-    std::span<const std::uint8_t> payload) {
-  xdr::Decoder dec(payload);
-  const protocol::ScheduleRequest req = protocol::ScheduleRequest::decode(dec);
-  const std::uint32_t owner = ownership_.ownerOf(req.entry);
-  if (owner != opts_.shard_id) {
-    return wrongShard(req.entry, owner, protocol::RedirectReason::NotOwner);
-  }
-  if (!primary_.load(std::memory_order_acquire) ||
-      fenced_.load(std::memory_order_acquire)) {
-    return wrongShard(req.entry, opts_.shard_id,
-                      protocol::RedirectReason::NotPrimary);
-  }
-  static obs::Counter& queries = obs::counter("metaserver.shard.queries");
-  queries.add();
-
-  // Failed servers reported by the client start their cooldown here, so
-  // the knowledge outlives this one query and shields other clients.
-  for (const auto& name : req.excluded) {
-    dir_.noteFailure(name, opts_.cooldown_seconds);
-  }
-
+MetaserverNode::Reply MetaserverNode::choose(
+    const protocol::ScheduleRequest& req) {
   protocol::ScheduleChoice choice;
   choice.shard_epoch = epoch_.load(std::memory_order_acquire);
   try {
-    const auto candidates = dir_.snapshot(req.entry, {}, req.excluded);
+    const auto candidates = dir_.cachedCandidates(req.entry, req.excluded);
     const Target target =
         dir_.acquireTarget(dir_.pick(req.entry, candidates, req.excluded));
     choice.server_name = target.name;
@@ -265,6 +406,10 @@ MetaserverNode::Reply MetaserverNode::registryReply(
                    : local_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     result.status = dir_.apply(op);
     result.seq = op.seq;
+    if (op.kind == protocol::RegistryOp::Kind::Deregister &&
+        result.status == protocol::RegisterResult::Status::Applied) {
+      dropLink(op.desc.endpoint);
+    }
   } catch (const FencedError&) {
     static obs::Counter& fenced_writes =
         obs::counter("metaserver.replication.fenced_writes");

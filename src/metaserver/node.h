@@ -11,10 +11,24 @@
 // Serving: a node is a service of the epoll reactor (server/reactor.h)
 // that negotiates v2 like a computing server and echoes only the
 // kFeatureSharding bit, so one client connection multiplexes concurrent
-// queries (v1 peers still get lock-step).  Ping, RingQuery, registry and
-// replication ops never block (replication only queues) and are answered
-// on the reactor thread; ScheduleQuery may block on status polls and
-// takes the staged path to a small fixed worker pool.
+// queries (v1 peers still get lock-step).  Every message is handled on
+// the reactor thread; nothing there blocks (replication only queues).
+//
+// ScheduleQuery, the control plane: the node decodes the query and asks
+// the directory which candidates need a fresh status
+// (LocalDirectory::pollsNeeded).  With none, it picks and answers at
+// once.  Otherwise it sends ServerStatus to each of them at once, over
+// one status connection per registered endpoint that the reactor dials
+// and owns (v1 framing, no Hello), and answers when the last of those
+// polls has ended.  Polls are single-flight per server: a poll in
+// flight is shared by every decision that arrived before it started;
+// a decision that arrives while it is in flight waits for the next one,
+// which starts when it ends.  So status_freshness 0 still means a status
+// taken after the decision arrived — the paper's poll-per-decision
+// model — while a burst of decisions costs each server one poll.  A
+// reactor timer bounds each poll at poll_timeout: a server that has not
+// answered by then is unreachable for that round, and its connection is
+// dropped and dialed again for the next poll.
 //
 // Roles and fencing:
 //  * primary  — serves schedules and registrations, ships every registry
@@ -34,12 +48,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "common/thread_pool.h"
 #include "metaserver/directory.h"
 #include "metaserver/replication.h"
 #include "metaserver/ring.h"
@@ -66,7 +81,9 @@ struct NodeOptions {
   double heartbeat_interval_s = 0.05;
   std::size_t heartbeat_miss_budget = 4;
   /// Reconstructs compute-server connection factories from replicated
-  /// endpoints (required for the registration path).
+  /// endpoints: LocalDirectory::apply() needs one to register a server.
+  /// The node never calls the factories it returns — it polls over
+  /// connections its reactor dials, and clients dial their own.
   FactoryResolver resolver;
   /// Connects to this shard's backup node (null = unreplicated shard).
   client::ConnectionFactory backup_factory;
@@ -91,8 +108,8 @@ class MetaserverNode final : private server::ReactorService {
   /// factory) or the promotion watchdog (backup).
   void serve(std::shared_ptr<transport::Listener> listener);
 
-  /// Stop the reactor (closing every connection), finish in-flight
-  /// schedule queries, join threads.  Idempotent.
+  /// Stop the reactor (closing every connection and dropping schedule
+  /// queries still waiting on polls), join threads.  Idempotent.
   /// A stopped node is indistinguishable from a crashed one to clients
   /// — the failover tests kill primaries exactly this way.
   void stop();
@@ -126,7 +143,60 @@ class MetaserverNode final : private server::ReactorService {
                      std::span<const std::uint8_t> payload) override
       NINF_REACTOR_CONTEXT;
 
-  Reply scheduleReply(std::span<const std::uint8_t> payload);
+  /// One ScheduleQuery waiting for status polls.
+  struct Decision {
+    std::uint64_t conn_id = 0;
+    protocol::WireMode mode{};
+    std::uint64_t call_id = 0;
+    protocol::WireTraceContext trace;
+    protocol::ScheduleRequest req;
+    /// Polls still to end before the decision can pick.
+    std::size_t polls_left = 0;
+  };
+  using DecisionPtr = std::shared_ptr<Decision>;
+
+  /// The status connection to one registered endpoint and its
+  /// single-flight poll.
+  struct StatusLink {
+    /// Reactor connection id; 0 = not dialed.
+    std::uint64_t conn = 0;
+    /// The server polled: the latest state registered at the endpoint.
+    std::shared_ptr<ServerState> state;
+    bool in_flight = false;
+    /// Bounds the poll in flight at poll_timeout.
+    server::Reactor::TimerId deadline;
+    /// Decisions sharing the poll in flight.
+    std::vector<DecisionPtr> riding;
+    /// Decisions that arrived after it started: they share the next.
+    std::vector<DecisionPtr> next;
+  };
+  using Links = std::map<std::string, StatusLink>;  // by endpoint
+
+  /// The pick over the cached statuses, as a ScheduleReply.
+  Reply choose(const protocol::ScheduleRequest& req);
+  /// Count `d` on the poll of `state` its arrival calls for.  False when
+  /// no poll could start (the server is recorded unreachable).
+  bool joinPoll(const std::shared_ptr<ServerState>& state,
+                const DecisionPtr& d);
+  /// Send ServerStatus on `link` (dialing first if needed) and arm its
+  /// timer.  False when the endpoint cannot be dialed.
+  bool startPoll(Links::iterator link);
+  std::uint64_t dialStatus(const std::string& endpoint);
+  /// The poll on `link` ended: `status` is its answer, or null when it
+  /// failed.  Starts the next poll, then answers every decision whose
+  /// last poll this was.
+  void endPoll(Links::iterator link, const protocol::ServerStatusInfo* status)
+      NINF_REACTOR_CONTEXT;
+  void onStatusFrame(const std::string& endpoint, std::uint64_t conn,
+                     const protocol::Frame& frame) NINF_REACTOR_CONTEXT;
+  void onStatusClosed(const std::string& endpoint, std::uint64_t conn)
+      NINF_REACTOR_CONTEXT;
+  void onPollTimeout(const std::string& endpoint) NINF_REACTOR_CONTEXT;
+  /// A Deregister was applied: drop the endpoint's idle status link.
+  void dropLink(const std::string& endpoint);
+  /// Answer a decision whose polls have all ended.
+  void decide(const Decision& d);
+
   Reply registryReply(std::span<const std::uint8_t> payload);
   Reply replAppendReply(std::span<const std::uint8_t> payload);
   Reply replHeartbeatReply(std::span<const std::uint8_t> payload);
@@ -159,10 +229,10 @@ class MetaserverNode final : private server::ReactorService {
   std::shared_ptr<transport::Listener> listener_;
   std::atomic<bool> stopping_{false};
   std::thread watchdog_;
-  /// Created by serve().  The reactor outlives stop() so a schedule task
-  /// still running on the pool can post to it (the post is dropped).
+  /// Created by serve().
   std::unique_ptr<server::Reactor> reactor_;
-  std::unique_ptr<ThreadPool> schedule_pool_;
+  /// Touched only on the reactor thread.
+  Links links_;
 };
 
 }  // namespace ninf::metaserver

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/metrics.h"
 
 namespace ninf::metaserver {
@@ -120,6 +121,7 @@ bool ReplicationLink::handleAck(const protocol::ReplAckMsg& ack) {
 }
 
 void ReplicationLink::shipperLoop() {
+  nameThisThread("ninf-repl");
   std::unique_ptr<client::NinfClient> backup;
   const auto interval =
       std::chrono::duration<double>(opts_.heartbeat_interval_s);

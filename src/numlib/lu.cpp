@@ -1,10 +1,15 @@
 #include "numlib/lu.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
+#include "common/sync.h"
+#include "common/thread_name.h"
 #include "numlib/blas.h"
 
 namespace ninf::numlib {
@@ -212,6 +217,41 @@ double dgeco(Matrix& a, PivotVector& ipvt) {
 
 PivotVector luBlocked(Matrix& a, std::size_t nb) {
   return luBlockedImpl(a, nb, /*workers=*/1);
+}
+
+void parallelFor(std::size_t n, std::size_t workers,
+                 const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  workers = std::min(workers, n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+  Mutex error_mutex{"parallel_for.error"};
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&] {
+      nameThisThread("ninf-lu-par");
+      for (;;) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= n || failed.load(std::memory_order_relaxed)) return;
+        try {
+          body(i);
+        } catch (...) {
+          LockGuard lock(error_mutex);
+          if (!error) error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 PivotVector luParallel(Matrix& a, std::size_t workers, std::size_t nb) {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -47,6 +48,12 @@ PivotVector luBlocked(Matrix& a, std::size_t nb = 32);
 /// Blocked LU with the trailing-matrix update parallelized across
 /// `workers` threads (the data-parallel "optimized library" path).
 PivotVector luParallel(Matrix& a, std::size_t workers, std::size_t nb = 32);
+
+/// Run `body(i)` for i in [0, n) across at most `workers` threads and
+/// wait; the first exception a body throws is rethrown here.  The
+/// strips of luParallel's trailing update run through it.
+void parallelFor(std::size_t n, std::size_t workers,
+                 const std::function<void(std::size_t)>& body);
 
 /// LINPACK dgeco: factor A (like dgefa) and estimate its reciprocal
 /// condition number rcond = 1 / (||A||_1 * ||A^-1||_1), the classic

@@ -5,14 +5,17 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/batch.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "transport/net_tuning.h"
+#include "transport/tcp_transport.h"
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -26,11 +29,9 @@ using protocol::WireMode;
 
 namespace {
 
-double monotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// The reactor whose loop runs on this thread (null elsewhere), so
+/// postAt() can tell a call from its own loop from a cross-thread one.
+thread_local const Reactor* tl_loop_reactor = nullptr;
 
 }  // namespace
 
@@ -86,7 +87,9 @@ void Reactor::stop() {
     solo_queue_.clear();
   }
   // No thread can reach the fds any more: the loop exited and postSolo
-  // now drops before touching wake_fd_.
+  // now drops before touching wake_fd_.  Pending timers and outbound
+  // handlers are dropped unrun.
+  timers_.clear();
   conns_.clear();
   metrics_.fds.set(static_cast<double>(conns_.size()));
   ::close(wake_fd_);
@@ -117,6 +120,10 @@ void Reactor::adopt(std::unique_ptr<transport::Stream> stream) {
 
 void Reactor::listen(std::shared_ptr<transport::Listener> listener) {
   listener_ = std::move(listener);
+  watchListener();
+}
+
+void Reactor::watchListener() {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = 0;  // listener
@@ -126,23 +133,86 @@ void Reactor::listen(std::shared_ptr<transport::Listener> listener) {
   }
 }
 
-void Reactor::addConn(std::unique_ptr<transport::Stream> stream) {
+std::uint64_t Reactor::addConn(std::unique_ptr<transport::Stream> stream,
+                               std::unique_ptr<Outbound> outbound) {
   const std::uint64_t id = next_conn_id_++;
   Conn conn;
   conn.id = id;
   conn.fd = stream->nativeHandle();
   conn.assembler = protocol::FrameAssembler(stream->peerName());
   conn.stream = std::move(stream);
+  // A dialed connection is writable once its connect settles.
+  conn.connecting = conn.want_write = outbound != nullptr;
+  conn.outbound = std::move(outbound);
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = EPOLLIN | (conn.want_write ? EPOLLOUT : 0u);
   ev.data.u64 = id;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.fd, &ev) != 0) {
     NINF_LOG(Warn) << "reactor: epoll_ctl ADD failed: "
                    << std::strerror(errno);
-    return;
+    return 0;
   }
   conns_.emplace(id, std::move(conn));
   metrics_.fds.set(static_cast<double>(conns_.size()));
+  return id;
+}
+
+std::uint64_t Reactor::dial(std::unique_ptr<transport::Stream> stream,
+                            Outbound outbound) {
+  NINF_REQUIRE(stream != nullptr && stream->nativeHandle() >= 0,
+               "dial needs a stream with a native handle");
+  const std::string peer = stream->peerName();
+  const std::uint64_t id = addConn(
+      std::move(stream), std::make_unique<Outbound>(std::move(outbound)));
+  if (id == 0) throw TransportError("reactor cannot watch " + peer);
+  return id;
+}
+
+void Reactor::close(std::uint64_t conn_id) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  killConn(it->second);
+  // flushPending frees it at the end of this iteration.
+  markFlush(it->second);
+}
+
+Reactor::TimerId Reactor::postAt(Clock::time_point deadline,
+                                 std::function<void()> fn) {
+  const TimerId id{deadline,
+                   next_timer_.fetch_add(1, std::memory_order_relaxed)};
+  if (tl_loop_reactor == this) {
+    timers_.emplace(id, std::move(fn));
+  } else {
+    auto f = std::make_shared<std::function<void()>>(std::move(fn));
+    postSolo([this, id, f] { timers_.emplace(id, std::move(*f)); });
+  }
+  return id;
+}
+
+void Reactor::cancel(const TimerId& id) { timers_.erase(id); }
+
+void Reactor::runTimers() {
+  const Clock::time_point now = Clock::now();
+  // One at a time: a callback may cancel or post other timers.
+  while (!exit_requested_ && !timers_.empty() &&
+         timers_.begin()->first.deadline <= now) {
+    auto node = timers_.extract(timers_.begin());
+    try {
+      node.mapped()();
+    } catch (const std::exception& e) {
+      NINF_LOG(Warn) << "reactor timer failed: " << e.what();
+    }
+  }
+}
+
+int Reactor::timerTimeoutMs() const {
+  if (timers_.empty()) return -1;
+  const auto left = timers_.begin()->first.deadline - Clock::now();
+  if (left <= Clock::duration::zero()) return 0;
+  // Round up: waking a little late runs the timer; waking early spins.
+  return static_cast<int>(std::min<std::chrono::milliseconds::rep>(
+      std::chrono::ceil<std::chrono::milliseconds>(left).count(),
+      std::numeric_limits<int>::max()));
 }
 
 void Reactor::postSolo(std::function<void()> fn) {
@@ -182,28 +252,13 @@ void Reactor::drainSolo() {
 }
 
 void Reactor::loop() {
+  tl_loop_reactor = this;
+  nameThisThread(profile_.thread_name);
   std::array<epoll_event, 64> events;
   while (!exit_requested_) {
-    int timeout_ms = -1;
-    if (accept_resume_at_ > 0.0) {
-      const double left = accept_resume_at_ - monotonicSeconds();
-      if (left <= 0.0) {
-        // Re-arm the listener after fd-exhaustion backoff; level
-        // triggering re-reports any connections that queued meanwhile.
-        accept_resume_at_ = 0.0;
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u64 = 0;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_->nativeHandle(),
-                        &ev) == 0) {
-          accept_registered_ = true;
-        }
-      } else {
-        timeout_ms = std::max(1, static_cast<int>(left * 1000.0));
-      }
-    }
     const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+                               static_cast<int>(events.size()),
+                               timerTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       NINF_LOG(Warn) << "reactor epoll_wait failed: " << std::strerror(errno);
@@ -225,6 +280,7 @@ void Reactor::loop() {
         maybeDestroy(id);
       }
     }
+    runTimers();
     // Replies posted by workers while this thread was busy dispatching
     // would otherwise wait a full epoll round behind their own wakeup.
     drainSolo();
@@ -264,13 +320,17 @@ void Reactor::handleAccept() {
       case transport::AcceptStatus::Exhausted:
         // Out of fds.  Stop watching the listener and retry after a
         // pause; established connections keep their fds and keep going.
+        // Level triggering re-reports connections that queued meanwhile.
         if (accept_registered_) {
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_->nativeHandle(),
                       nullptr);
           accept_registered_ = false;
+          postAt(Clock::now() +
+                     std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(
+                             transport::kAcceptBackoffSeconds)),
+                 [this] { watchListener(); });
         }
-        accept_resume_at_ =
-            monotonicSeconds() + transport::kAcceptBackoffSeconds;
         return;
     }
   }
@@ -280,6 +340,18 @@ void Reactor::handleConnEvent(Conn& conn, std::uint32_t events) {
   if (events & EPOLLERR) {
     killConn(conn);
     return;
+  }
+  if (conn.connecting) {
+    if (!(events & (EPOLLOUT | EPOLLHUP))) return;
+    try {
+      transport::finishConnect(*conn.stream);
+    } catch (const Error& e) {
+      NINF_LOG(Debug) << "reactor dial failed: " << e.what();
+      killConn(conn);
+      return;
+    }
+    conn.connecting = false;
+    markFlush(conn);  // the frames queued while connecting
   }
   if (events & (EPOLLIN | EPOLLHUP)) {
     readReadable(conn);
@@ -317,6 +389,10 @@ void Reactor::readReadable(Conn& conn) {
 }
 
 void Reactor::processFrames(Conn& conn) {
+  if (conn.outbound) {
+    deliverFrames(conn);
+    return;
+  }
   while (!conn.dead) {
     // v1 lock-step: one staged call at a time, replies in frame order.
     if (conn.v1_busy) return;
@@ -338,6 +414,21 @@ void Reactor::processFrames(Conn& conn) {
   }
 }
 
+void Reactor::deliverFrames(Conn& conn) {
+  while (!conn.dead) {
+    try {
+      std::optional<Frame> frame = conn.assembler.next();
+      if (!frame) return;
+      conn.outbound->on_frame(conn.id, std::move(*frame));
+    } catch (const std::exception& e) {
+      NINF_LOG(Warn) << "connection to " << conn.stream->peerName()
+                     << " aborted: " << e.what();
+      killConn(conn);
+      return;
+    }
+  }
+}
+
 void Reactor::dispatchFrame(Conn& conn, Frame frame) {
   // Every frame arrives whole in one slab: its own high-water mark, kept
   // apart from the streamed codec's wire.peak_buffer_bytes.
@@ -350,7 +441,7 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
     if (type == MessageType::Hello) {
       handleHello(conn, frame);
     } else if (type == MessageType::Ping) {
-      queueReply(conn.id, protocol::frameFromPayload(
+      queueFrame(conn.id, protocol::frameFromPayload(
                               conn.mode, MessageType::Pong,
                               frame.header.call_id, frame.header.trace,
                               frame.body.span()));
@@ -360,7 +451,7 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
       common::PooledBuffer reply =
           service_.stageFrame(conn.id, conn.mode, std::move(frame));
       if (!reply.empty()) {
-        queueReply(conn.id, std::move(reply));
+        queueFrame(conn.id, std::move(reply));
       } else {
         ++conn.staged_inflight;
         ++staged_total_;
@@ -371,7 +462,7 @@ void Reactor::dispatchFrame(Conn& conn, Frame frame) {
       // thread (lookups and bookkeeping, nothing that blocks).
       const ReactorService::Reply reply =
           service_.controlReply(type, frame.body.span());
-      queueReply(conn.id, protocol::flattenFramePooled(
+      queueFrame(conn.id, protocol::flattenFramePooled(
                               conn.mode, reply.type, frame.header.call_id,
                               frame.header.trace, reply.body));
     }
@@ -397,7 +488,7 @@ void Reactor::handleHello(Conn& conn, const Frame& frame) {
   if (client_sent_features) ack.putU32(features);
   // The ack itself travels in the pre-upgrade framing; the new mode
   // applies from the next frame in both directions.
-  queueReply(conn.id,
+  queueFrame(conn.id,
              protocol::flattenFramePooled(conn.mode, MessageType::HelloAck,
                                           frame.header.call_id,
                                           frame.header.trace, ack));
@@ -410,7 +501,7 @@ void Reactor::handleHello(Conn& conn, const Frame& frame) {
   }
 }
 
-void Reactor::queueReply(std::uint64_t conn_id, common::PooledBuffer frame) {
+void Reactor::queueFrame(std::uint64_t conn_id, common::PooledBuffer frame) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end() || it->second.dead) return;
   it->second.writeq.push_back(OutBuf{std::move(frame), 0});
@@ -438,7 +529,7 @@ void Reactor::finishStagedCall(std::uint64_t conn_id,
   if (reply.empty()) {
     killConn(conn);
   } else if (!conn.dead) {
-    queueReply(conn_id, std::move(reply));
+    queueFrame(conn_id, std::move(reply));
   }
   // The freed admission slot (and, for v1, the lifted lock-step hold)
   // may unblock frames already sitting in reassembly buffers.
@@ -467,7 +558,7 @@ void Reactor::flushPending() {
 }
 
 void Reactor::flushConn(Conn& conn) {
-  if (conn.dead) return;
+  if (conn.dead || conn.connecting) return;
   const common::BatchLimits limits = common::batchLimits();
   while (!conn.writeq.empty()) {
     // Coalesce up to max_iov queued frames (bounded by the byte budget,
@@ -593,9 +684,17 @@ void Reactor::destroyConn(std::uint64_t conn_id) {
   // finishStagedCall finds no connection and releases nothing.
   staged_total_ -= std::min(staged_total_, conn.staged_inflight);
   epilogue_depth_ -= std::min(epilogue_depth_, conn.writeq.size());
+  const std::unique_ptr<Outbound> outbound = std::move(conn.outbound);
   conns_.erase(it);
   metrics_.fds.set(static_cast<double>(conns_.size()));
   metrics_.epilogue_depth.set(static_cast<double>(epilogue_depth_));
+  if (outbound && outbound->on_close) {
+    try {
+      outbound->on_close(conn_id);
+    } catch (const std::exception& e) {
+      NINF_LOG(Warn) << "reactor close handler failed: " << e.what();
+    }
+  }
   resumeReads();
 }
 

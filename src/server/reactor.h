@@ -32,6 +32,15 @@
 // closes it and frees it.  A listener or stream without a pollable
 // native handle is rejected with a TransportError.
 //
+// The service may also dial connections of its own (dial(), on the
+// reactor thread): v1 framing, no Hello, and every frame that arrives
+// goes to the connection's Outbound handler instead of the service.
+// The metaserver node polls its computing servers this way.
+//
+// Timers: postAt() runs a function on the reactor thread at a deadline;
+// epoll_wait sleeps no longer than the earliest one.  The accept backoff
+// after fd exhaustion is such a timer.
+//
 // Backpressure: when the number of staged calls in flight reaches the
 // admission budget, the reactor stops reading from connections (their
 // EPOLLIN interest is dropped) until completions drain — the kernel
@@ -46,6 +55,8 @@
 // Linux only (epoll, eventfd).
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -101,11 +112,13 @@ class ReactorService {
 class Reactor {
  public:
   /// Constant per service: the feature bits Hello may echo (every
-  /// service agrees on up to protocol::kMaxVersion), and the metric root
-  /// (`<root>.reactor.*`, `<root>.v2_connections`).
+  /// service agrees on up to protocol::kMaxVersion), the metric root
+  /// (`<root>.reactor.*`, `<root>.v2_connections`) and the reactor
+  /// thread's name (at most 15 characters).
   struct Profile {
     std::uint32_t features = 0;
     std::string_view metrics_root;
+    const char* thread_name = "ninf-rx";
   };
   struct Options {
     /// Staged calls in flight (dispatched, reply not yet queued) before
@@ -145,11 +158,40 @@ class Reactor {
   /// nowhere to send its reply anyway.
   void postFinish(std::uint64_t conn_id, common::PooledBuffer reply);
 
- private:
-  /// Hand a task to the solo stage: `fn` runs on the reactor thread in
-  /// post order.  Thread-safe; the wakeup is coalesced (one eventfd
-  /// write per burst).  Dropped silently after stop().
-  void postSolo(std::function<void()> fn);
+  using Clock = std::chrono::steady_clock;
+  /// Names one postAt() timer.  Timers run in (deadline, post) order.
+  struct TimerId {
+    Clock::time_point deadline;
+    std::uint64_t seq = 0;
+    auto operator<=>(const TimerId&) const = default;
+  };
+
+  /// Run `fn` on the reactor thread once `deadline` has passed, in
+  /// deadline order.  Thread-safe; dropped after stop().
+  TimerId postAt(Clock::time_point deadline, std::function<void()> fn);
+
+  // ---- reactor thread only: called from the service's handlers ----
+
+  /// Drop a timer that has not run yet (a no-op once it ran).
+  void cancel(const TimerId& id);
+
+  /// What an outbound connection does with what arrives on it; both
+  /// get the connection's id.
+  struct Outbound {
+    /// Each frame that arrives (v1 framing).  Throwing closes the
+    /// connection.
+    std::function<void(std::uint64_t, protocol::Frame)> on_frame;
+    /// The connection is gone — connect failure, EOF, error or close().
+    /// Called once, unless the reactor stops first.
+    std::function<void(std::uint64_t)> on_close;
+  };
+
+  /// Serve `stream` — a transport::tcpConnectNowait() stream whose
+  /// connect may still be in progress — as an outbound connection.
+  /// Frames queued before the connect settles leave once it does.
+  /// Throws TransportError when the stream cannot be registered.
+  std::uint64_t dial(std::unique_ptr<transport::Stream> stream,
+                     Outbound outbound);
 
   /// Append one marshalled frame to `conn_id`'s write queue.  The
   /// actual writev is deferred to the end of the current loop iteration
@@ -157,11 +199,22 @@ class Reactor {
   /// coalesced sendvNowait (bounded by common::batchLimits()).  Unknown
   /// ids (connection died) are dropped.  Not part of staged-call
   /// bookkeeping.
-  void queueReply(std::uint64_t conn_id, common::PooledBuffer frame);
+  void queueFrame(std::uint64_t conn_id, common::PooledBuffer frame);
 
-  /// Complete one staged call on `conn_id` (postFinish, on the reactor
-  /// thread).
+  /// Close `conn_id` now; it is freed (and an outbound connection's
+  /// on_close runs) before this loop iteration ends.
+  void close(std::uint64_t conn_id);
+
+  /// postFinish() for a caller already on the reactor thread: a timer or
+  /// an Outbound handler.  Never from inside stageFrame() — answer
+  /// inline there instead.
   void finishStagedCall(std::uint64_t conn_id, common::PooledBuffer reply);
+
+ private:
+  /// Hand a task to the solo stage: `fn` runs on the reactor thread in
+  /// post order.  Thread-safe; the wakeup is coalesced (one eventfd
+  /// write per burst).  Dropped silently after stop().
+  void postSolo(std::function<void()> fn);
 
   /// One queued reply frame.  `off` is the flushed prefix: a short
   /// sendvNowait advances it in place, so a retry resumes exactly where
@@ -192,6 +245,11 @@ class Reactor {
     bool dead = false;        // write side failed: drop everything
     /// Queued replies await the end-of-iteration coalesced flush.
     bool flush_queued = false;
+    /// Set on connections from dial(): frames go here, not to the
+    /// service.
+    std::unique_ptr<Outbound> outbound;
+    /// dial() in progress: writes wait until the connect settles.
+    bool connecting = false;
   };
 
   // The event loop and everything it calls run on the reactor thread;
@@ -202,13 +260,18 @@ class Reactor {
   /// Registration, reached through postSolo from start()/adopt().
   void listen(std::shared_ptr<transport::Listener> listener)
       NINF_REACTOR_CONTEXT;
-  void addConn(std::unique_ptr<transport::Stream> stream)
+  /// Register a connection; returns its id, or 0 when epoll refused it.
+  std::uint64_t addConn(std::unique_ptr<transport::Stream> stream,
+                        std::unique_ptr<Outbound> outbound = nullptr)
       NINF_REACTOR_CONTEXT;
+  void watchListener();
   void handleAccept() NINF_REACTOR_CONTEXT;
   void handleConnEvent(Conn& conn, std::uint32_t events)
       NINF_REACTOR_CONTEXT;
   void readReadable(Conn& conn);
   void processFrames(Conn& conn);
+  /// Hand an outbound connection's frames to its handler.
+  void deliverFrames(Conn& conn);
   void dispatchFrame(Conn& conn, protocol::Frame frame)
       NINF_REACTOR_CONTEXT;
   void handleHello(Conn& conn, const protocol::Frame& frame);
@@ -225,6 +288,10 @@ class Reactor {
   void destroyConn(std::uint64_t conn_id);
   void killConn(Conn& conn);  // write/read failure: close + drop queues
   void drainSolo() NINF_REACTOR_CONTEXT;
+  /// Run every timer whose deadline has passed.
+  void runTimers() NINF_REACTOR_CONTEXT;
+  /// epoll_wait timeout: until the earliest timer, or -1 for none.
+  int timerTimeoutMs() const;
 
   /// The reactor's instruments, named under the service's metric root.
   struct Metrics {
@@ -252,9 +319,9 @@ class Reactor {
   /// stop() asked the loop to exit (reactor-thread flag, set via a solo
   /// task so it is observed at a frame boundary).
   bool exit_requested_ = false;
-  /// Monotonic-clock second when accepting resumes after fd exhaustion
-  /// (0 = not backing off).
-  double accept_resume_at_ = 0.0;
+  /// Pending postAt() timers; touched only by the reactor thread.
+  std::map<TimerId, std::function<void()>> timers_;
+  std::atomic<std::uint64_t> next_timer_{1};
 
   std::map<std::uint64_t, Conn> conns_;
   /// Connections with replies queued since the last flushPending().

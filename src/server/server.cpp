@@ -5,6 +5,7 @@
 #include "common/buffer_pool.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/reactor.h"
@@ -33,7 +34,8 @@ NinfServer::NinfServer(Registry& registry, ServerOptions options)
   // v2 with the trace extension; metrics under server.reactor.*.
   reactor_ = std::make_unique<Reactor>(
       static_cast<ReactorService&>(*this),
-      Reactor::Profile{protocol::kFeatureTraceContext, "server"},
+      Reactor::Profile{protocol::kFeatureTraceContext, "server",
+                       "ninf-srv-rx"},
       ropts);
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -78,12 +80,14 @@ void NinfServer::stop() {
 }
 
 void NinfServer::workerLoop() {
+  nameThisThread("ninf-worker");
   while (auto job = queue_.pop()) {
     job->run();
   }
 }
 
 void NinfServer::sweeperLoop() {
+  nameThisThread("ninf-sweeper");
   const auto period = std::chrono::duration<double>(
       std::clamp(options_.pending_ttl_seconds / 4.0, 0.01, 1.0));
   UniqueLock lk(sweeper_mutex_);

@@ -358,75 +358,70 @@ std::pair<std::unique_ptr<Stream>, std::unique_ptr<Stream>> inprocPair() {
           std::make_unique<SocketStream>(fds[1], "inproc")};
 }
 
-std::unique_ptr<Stream> tcpConnect(const std::string& host,
-                                   std::uint16_t port,
-                                   double timeout_seconds) {
+std::unique_ptr<Stream> tcpConnectNowait(const std::string& host,
+                                         std::uint16_t port) {
   const std::string where = host + ":" + std::to_string(port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throwErrno("socket");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     throw TransportError("bad IPv4 address '" + host + "' (connecting to " +
                          where + ")");
   }
-  if (timeout_seconds <= 0) {
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) < 0) {
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      throwErrno("connect to " + where);
-    }
-    return tcpStream(fd, addr);
-  }
-  // Timed connect: non-blocking connect, poll for writability, then read
-  // the final status from SO_ERROR and restore blocking mode.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) throwErrno("socket");
+  int rc;
+  do {
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0 && errno != EINPROGRESS) {
     const int saved = errno;
     ::close(fd);
     errno = saved;
-    throwErrno("fcntl for connect to " + where);
-  }
-  const auto fail = [&](const std::string& what) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throwErrno(what);
-  };
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    if (errno != EINPROGRESS) fail("connect to " + where);
-    pollfd pfd{fd, POLLOUT, 0};
-    const int timeout_ms =
-        static_cast<int>(std::max(1.0, timeout_seconds * 1000.0));
-    int rc;
-    do {
-      rc = ::poll(&pfd, 1, timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) fail("poll for connect to " + where);
-    if (rc == 0) {
-      ::close(fd);
-      throw TransportError("connect to " + where + " timed out after " +
-                           std::to_string(timeout_ms) + " ms");
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) < 0) {
-      fail("getsockopt for connect to " + where);
-    }
-    if (so_error != 0) {
-      errno = so_error;
-      fail("connect to " + where);
-    }
-  }
-  if (::fcntl(fd, F_SETFL, flags) < 0) {
-    fail("fcntl for connect to " + where);
+    throwErrno("connect to " + where);
   }
   return tcpStream(fd, addr);
+}
+
+void finishConnect(const Stream& stream) {
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  if (::getsockopt(stream.nativeHandle(), SOL_SOCKET, SO_ERROR, &so_error,
+                   &len) < 0) {
+    throwErrno("getsockopt for connect to " + stream.peerName());
+  }
+  if (so_error != 0) {
+    errno = so_error;
+    throwErrno("connect to " + stream.peerName());
+  }
+}
+
+std::unique_ptr<Stream> tcpConnect(const std::string& host,
+                                   std::uint16_t port,
+                                   double timeout_seconds) {
+  std::unique_ptr<Stream> stream = tcpConnectNowait(host, port);
+  // Wait for the connect to settle: the socket turns writable when it
+  // succeeds or fails; SO_ERROR then tells which.
+  pollfd pfd{stream->nativeHandle(), POLLOUT, 0};
+  const int timeout_ms =
+      timeout_seconds > 0
+          ? static_cast<int>(std::max(1.0, timeout_seconds * 1000.0))
+          : -1;
+  int rc;
+  do {
+    rc = ::poll(&pfd, 1, timeout_ms);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) throwErrno("poll for connect to " + stream->peerName());
+  if (rc == 0) {
+    throw TransportError("connect to " + stream->peerName() +
+                         " timed out after " + std::to_string(timeout_ms) +
+                         " ms");
+  }
+  finishConnect(*stream);
+  if (!stream->setNonBlocking(false)) {
+    throwErrno("fcntl for connect to " + stream->peerName());
+  }
+  return stream;
 }
 
 TcpListener::TcpListener(std::uint16_t port, int backlog) {

@@ -20,6 +20,18 @@ std::unique_ptr<Stream> tcpConnect(const std::string& host,
                                    double timeout_seconds = 0.0)
     NINF_BLOCKING;
 
+/// Start connecting to host:port without waiting: the stream is in
+/// non-blocking mode, and its connection is settled once its native
+/// handle reports writable — then finishConnect() says how it went.
+/// Throws ninf::TransportError for a bad address or a connect that fails
+/// at once.  tcpConnect() is this plus a wait.
+std::unique_ptr<Stream> tcpConnectNowait(const std::string& host,
+                                         std::uint16_t port);
+
+/// Settle a tcpConnectNowait() stream that reported writable: throws
+/// ninf::TransportError naming the peer when the connect failed.
+void finishConnect(const Stream& stream);
+
 /// Listening TCP socket bound to 127.0.0.1.
 class TcpListener : public Listener {
  public:

@@ -19,9 +19,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "client/client.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "metaserver/metaserver.h"
 #include "metaserver/node.h"
 #include "metaserver/sharded.h"
 #include "numlib/ep.h"
@@ -600,6 +604,59 @@ TEST_P(FailoverChaos, KillPrimaryMidDispatchStorm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FailoverChaos, ::testing::Range(0, 10));
+
+/// Names of this process's threads, from /proc/self/task/*/comm.
+std::multiset<std::string> threadNames() {
+  std::multiset<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  return names;
+}
+
+/// Every thread the system starts carries its role in its name, so top
+/// -H, a debugger or a per-role CPU table can tell them apart.
+TEST(ThreadNames, EveryRoleIsNamed) {
+  ShardCluster cluster(1);
+  auto client = cluster.makeClient();
+  cluster.registerServersFor(client, "ep");
+  std::vector<double> sums(2), q(10);
+  auto args = epArgs(sums, q, 64);
+  CallOptions opts;
+  opts.deadline_seconds = kDeadlineSeconds;
+  client.dispatch("ep", args, opts);  // dials v2 channels: reader threads
+  metaserver::Metaserver monitored;
+  metaserver::ServerEntry entry;
+  entry.name = "s";
+  entry.factory = [&cluster] {
+    return dialEndpoint(cluster.server_endpoints_[0]);
+  };
+  monitored.addServer(std::move(entry));
+  monitored.startMonitoring(std::chrono::milliseconds(10));
+
+  const std::vector<std::string> roles = {
+      "ninf-srv-rx", "ninf-repl",    "ninf-meta-rx",  "ninf-worker",
+      "ninf-chan-rd", "ninf-sweeper", "ninf-watchdog", "ninf-monitor"};
+  // A thread names itself as it starts: give the newest a moment.
+  std::multiset<std::string> names;
+  eventually(kDeadlineSeconds, [&] {
+    names = threadNames();
+    for (const auto& role : roles) {
+      if (names.count(role) == 0) return false;
+    }
+    return true;
+  });
+  for (const auto& role : roles) {
+    EXPECT_GT(names.count(role), 0u) << "no thread named " << role;
+  }
+  // Two servers and two nodes, one reactor each.
+  EXPECT_EQ(names.count("ninf-srv-rx"), 2u);
+  EXPECT_EQ(names.count("ninf-meta-rx"), 2u);
+  monitored.stopMonitoring();
+}
 
 }  // namespace
 }  // namespace ninf

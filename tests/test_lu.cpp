@@ -3,7 +3,10 @@
 // and agree with each other.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "numlib/linpack_driver.h"
@@ -212,6 +215,32 @@ TEST(LinpackDriver, ReportsPassingRun) {
 TEST(LinpackDriver, ParallelVariantUsesWorkers) {
   const LinpackReport report = runLinpack(200, LuVariant::Parallel, 4);
   EXPECT_TRUE(report.passed);
+}
+
+TEST(ParallelFor, CoversEveryIndexOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  parallelFor(1000, 8, [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, SingleWorkerRunsSequentially) {
+  std::vector<std::size_t> order;
+  parallelFor(10, 1, [&](std::size_t i) { order.push_back(i); });
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, EmptyRangeIsNoop) {
+  bool ran = false;
+  parallelFor(0, 4, [&](std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
+
+TEST(ParallelFor, ExceptionPropagates) {
+  EXPECT_THROW(parallelFor(100, 4,
+                           [](std::size_t i) {
+                             if (i == 50) throw std::runtime_error("bad");
+                           }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // connections with a flat thread count, slow-loris peers that dribble a
 // frame one byte at a time without stalling anyone, and mid-body
 // disconnects that clean up instead of leaking a blocked reader thread.
-// Also the lifecycle of streams handed to the reactor with adopt(), and
-// the metaserver node served by the same reactor: its Hello profile,
-// reply order across the inline and staged paths, and bad frames that
-// cost only their own connection.
+// Also the lifecycle of streams handed to the reactor with adopt(), its
+// timers, and the metaserver node served by the same reactor: its Hello
+// profile, reply order across the inline and staged paths, bad frames
+// that cost only their own connection, and the status polls it sends
+// from the reactor (bounded by a timer, single-flight per server).
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -29,6 +31,7 @@
 #include "obs/metrics.h"
 #include "protocol/call_marshal.h"
 #include "protocol/message.h"
+#include "server/reactor.h"
 #include "server/server.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
@@ -644,6 +647,59 @@ TEST(ReactorAdopt, RejectsStreamsAndListenersWithoutNativeHandle) {
   server.stop();
 }
 
+/// A service with nothing to serve: its reactor only runs timers.
+class IdleService final : public server::ReactorService {
+ public:
+  bool staged(MessageType) const override { return false; }
+  common::PooledBuffer stageFrame(std::uint64_t, protocol::WireMode,
+                                  protocol::Frame) override {
+    return {};
+  }
+  Reply controlReply(MessageType, std::span<const std::uint8_t>) override {
+    throw ProtocolError("idle service answers nothing");
+  }
+};
+
+TEST(ReactorTimers, RunOnTheReactorThreadInDeadlineOrderAndDropAfterStop) {
+  IdleService service;
+  server::Reactor reactor(service, {0, "timer_test", "ninf-test-rx"}, {});
+  using Clock = server::Reactor::Clock;
+  using std::chrono::milliseconds;
+  // Touched only by the reactor thread until `done` is set.
+  std::vector<int> order;
+  std::set<std::thread::id> threads;
+  std::promise<void> done;
+  const auto now = Clock::now();
+  const auto record = [&](int n) {
+    order.push_back(n);
+    threads.insert(std::this_thread::get_id());
+  };
+  reactor.postAt(now + milliseconds(60), [&] {
+    record(3);
+    done.set_value();
+  });
+  const auto cancelled =
+      reactor.postAt(now + milliseconds(40), [&] { record(-1); });
+  reactor.postAt(now + milliseconds(20), [&] { record(1); });
+  reactor.postAt(now + milliseconds(30), [&] {
+    record(2);
+    reactor.cancel(cancelled);  // has not run yet: never runs
+  });
+  ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_NE(*threads.begin(), std::this_thread::get_id());
+
+  std::atomic<bool> ran_after_stop{false};
+  reactor.postAt(Clock::now() + milliseconds(300),
+                 [&] { ran_after_stop = true; });
+  reactor.stop();
+  reactor.postAt(Clock::now(), [&] { ran_after_stop = true; });
+  std::this_thread::sleep_for(milliseconds(400));
+  EXPECT_FALSE(ran_after_stop.load());
+}
+
 // ------------------------------------------------- metaserver node
 
 double nodeFds() { return obs::gauge("metaserver.reactor.fds").value(); }
@@ -846,6 +902,233 @@ TEST_F(NodeReactorTest, FailedScheduleQueryClosesOnlyThatConnection) {
   protocol::ScheduleRequest{.entry = "ep", .excluded = {}}.encode(query);
   protocol::sendMessage(*good, MessageType::ScheduleQuery, query);
   EXPECT_EQ(protocol::recvMessage(*good).type, MessageType::ScheduleReply);
+}
+
+/// A computing server's status port under the test's control: it
+/// accepts the node's status connection and answers each ServerStatus
+/// only when told to.
+class ScriptedStatusServer {
+ public:
+  std::uint16_t port() const { return listener_.port(); }
+
+  /// Take the node's next ServerStatus; false when none arrives within
+  /// `seconds`.
+  bool nextRequest(double seconds) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    while (!conn_) {
+      transport::AcceptStatus status{};
+      conn_ = listener_.tryAccept(status);
+      if (conn_) {
+        EXPECT_TRUE(conn_->setNonBlocking(false));
+        conn_->setDeadlineIn(5.0);
+      } else if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    const auto left = deadline - std::chrono::steady_clock::now();
+    const int ms = static_cast<int>(std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::milliseconds>(left)
+               .count()));
+    if (!readable(*conn_, ms)) return false;
+    EXPECT_EQ(protocol::recvMessage(*conn_).type, MessageType::ServerStatus);
+    return true;
+  }
+
+  void answer() {
+    protocol::ServerStatusInfo info;
+    protocol::sendMessage(*conn_, MessageType::StatusReply, info.toBytes());
+  }
+
+  /// True when the node closes its status connection within `seconds`.
+  bool closedByNode(double seconds) {
+    if (!readable(*conn_, static_cast<int>(seconds * 1000))) return false;
+    try {
+      protocol::recvMessage(*conn_);
+      return false;
+    } catch (const TransportError&) {
+      return true;
+    }
+  }
+
+  static bool readable(const transport::Stream& stream, int ms) {
+    pollfd pfd{stream.nativeHandle(), POLLIN, 0};
+    return ::poll(&pfd, 1, ms) == 1;
+  }
+
+ private:
+  transport::TcpListener listener_{0};
+  std::unique_ptr<transport::Stream> conn_;
+};
+
+/// A single-shard primary node polling servers the test registers,
+/// asked for decisions over raw v1 sockets (one per decision: v1 holds
+/// a connection while its query waits).
+class NodePollerTest : public ::testing::Test {
+ protected:
+  void startNode(double poll_timeout) {
+    listener_ = std::make_shared<transport::TcpListener>(0);
+    port_ = listener_->port();
+    protocol::ShardInfo shard;
+    shard.id = 0;
+    shard.epoch = 1;
+    shard.primary_endpoint = "127.0.0.1:" + std::to_string(port_);
+    metaserver::NodeOptions opts;
+    opts.status_freshness = 0.0;  // every decision needs a fresh poll
+    opts.poll_timeout = poll_timeout;
+    opts.resolver = [](const std::string&) {
+      return client::ConnectionFactory([]() -> std::unique_ptr<NinfClient> {
+        throw TransportError("the node polls over its own connections");
+      });
+    };
+    opts.self_endpoint = shard.primary_endpoint;
+    opts.ring.shards.push_back(shard);
+    node_ = std::make_unique<metaserver::MetaserverNode>(std::move(opts));
+    node_->serve(listener_);
+  }
+
+  void TearDown() override {
+    if (node_) node_->stop();
+  }
+
+  void registerServer(const std::string& name, std::uint16_t port) {
+    protocol::RegistryOp op;
+    op.desc.name = name;
+    op.desc.endpoint = "127.0.0.1:" + std::to_string(port);
+    op.desc.entries = {"ep"};
+    op.reg_epoch = 1;
+    ASSERT_EQ(node_->directory().apply(op),
+              protocol::RegisterResult::Status::Applied);
+  }
+
+  /// Send one ScheduleQuery for "ep" on a fresh connection.
+  std::unique_ptr<transport::Stream> query() const {
+    auto stream = transport::tcpConnect("127.0.0.1", port_);
+    stream->setDeadlineIn(10.0);
+    xdr::Encoder enc;
+    protocol::ScheduleRequest{.entry = "ep", .excluded = {}}.encode(enc);
+    protocol::sendMessage(*stream, MessageType::ScheduleQuery, enc);
+    return stream;
+  }
+
+  /// The server a decision named.
+  static std::string chosen(transport::Stream& stream) {
+    const protocol::Message reply = protocol::recvMessage(stream);
+    EXPECT_EQ(reply.type, MessageType::ScheduleReply);
+    xdr::Decoder dec(reply.payload);
+    return protocol::ScheduleChoice::decode(dec).server_name;
+  }
+
+  /// Wait until the node has decoded `count` more queries than `base`.
+  static bool decoded(std::uint64_t base, std::uint64_t count) {
+    return waitFor([&] {
+      return obs::counter("metaserver.shard.queries").value() >= base + count;
+    }, 10.0);
+  }
+
+  std::shared_ptr<transport::TcpListener> listener_;
+  std::uint16_t port_ = 0;
+  std::unique_ptr<metaserver::MetaserverNode> node_;
+};
+
+TEST_F(NodePollerTest, MuteServerDelaysADecisionByAtMostThePollTimeout) {
+  constexpr double kPollTimeout = 0.2;
+  startNode(kPollTimeout);
+  Registry registry;
+  server::registerStandardExecutables(registry);
+  NinfServer healthy(registry, {.workers = 1});
+  auto healthy_listener = std::make_shared<transport::TcpListener>(0);
+  healthy.start(healthy_listener);
+  registerServer("healthy", healthy_listener->port());
+  // Its kernel completes the node's connect, and nobody ever reads.
+  transport::TcpListener mute(0);
+  registerServer("mute", mute.port());
+
+  const std::uint64_t timeouts_before =
+      obs::counter("metaserver.status_poll_timeouts").value();
+  for (int round = 0; round < 2; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    auto stream = query();
+    EXPECT_EQ(chosen(*stream), "healthy");
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    EXPECT_LT(waited, kPollTimeout + 1.0) << "round " << round;
+  }
+  EXPECT_GE(obs::counter("metaserver.status_poll_timeouts").value() -
+                timeouts_before,
+            2u);
+  healthy.stop();
+}
+
+TEST_F(NodePollerTest, DecisionArrivingDuringAPollWaitsForTheNextOne) {
+  startNode(10.0);
+  ScriptedStatusServer status;
+  registerServer("scripted", status.port());
+  const std::uint64_t base = obs::counter("metaserver.shard.queries").value();
+
+  auto first = query();
+  ASSERT_TRUE(status.nextRequest(10.0)) << "no poll for the first decision";
+  auto second = query();
+  ASSERT_TRUE(decoded(base, 2));
+  // The poll in flight started before the second decision arrived, so
+  // its answer settles only the first.
+  status.answer();
+  EXPECT_EQ(chosen(*first), "scripted");
+  ASSERT_TRUE(status.nextRequest(10.0)) << "no poll for the second decision";
+  EXPECT_FALSE(ScriptedStatusServer::readable(*second, 100))
+      << "the second decision was answered from the earlier poll";
+  status.answer();
+  EXPECT_EQ(chosen(*second), "scripted");
+}
+
+TEST_F(NodePollerTest, DecisionsArrivingBeforeAPollStartsShareIt) {
+  startNode(10.0);
+  ScriptedStatusServer status;
+  registerServer("scripted", status.port());
+  const std::uint64_t base = obs::counter("metaserver.shard.queries").value();
+
+  auto first = query();
+  ASSERT_TRUE(status.nextRequest(10.0));
+  // Both arrive while the first poll is in flight: the next poll, which
+  // starts when it ends, is theirs to share.
+  auto second = query();
+  auto third = query();
+  ASSERT_TRUE(decoded(base, 3));
+  status.answer();
+  EXPECT_EQ(chosen(*first), "scripted");
+  ASSERT_TRUE(status.nextRequest(10.0));
+  status.answer();
+  EXPECT_EQ(chosen(*second), "scripted");
+  EXPECT_EQ(chosen(*third), "scripted");
+  EXPECT_FALSE(status.nextRequest(0.2))
+      << "the second and third decisions did not share one poll";
+}
+
+TEST_F(NodePollerTest, DeregisterClosesTheIdleStatusConnection) {
+  startNode(10.0);
+  ScriptedStatusServer status;
+  registerServer("scripted", status.port());
+  auto first = query();
+  ASSERT_TRUE(status.nextRequest(10.0));
+  status.answer();
+  EXPECT_EQ(chosen(*first), "scripted");
+
+  auto registrar = transport::tcpConnect("127.0.0.1", port_);
+  registrar->setDeadlineIn(10.0);
+  protocol::RegistryOp op;
+  op.kind = protocol::RegistryOp::Kind::Deregister;
+  op.desc.name = "scripted";
+  op.desc.endpoint = "127.0.0.1:" + std::to_string(status.port());
+  op.reg_epoch = 2;
+  xdr::Encoder enc;
+  op.encode(enc);
+  protocol::sendMessage(*registrar, MessageType::DeregisterServer, enc);
+  EXPECT_EQ(protocol::recvMessage(*registrar).type, MessageType::RegisterAck);
+  EXPECT_TRUE(status.closedByNode(10.0))
+      << "the node kept polling a deregistered server's connection open";
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "numlib/ep.h"
 #include "numlib/matrix.h"
 #include "numlib/mmul.h"
+#include "obs/metrics.h"
 #include "server/server.h"
 #include "transport/inproc_transport.h"
 #include "transport/tcp_transport.h"
@@ -160,6 +161,58 @@ TEST_F(InprocRpc, FetchUnknownJobIsRemoteError) {
                                 ArgValue::outArray(q)};
   client().queryInterface("ep");
   EXPECT_THROW(client().fetch({999999, "ep"}, args), RemoteError);
+}
+
+/// Results of two-phase calls nobody fetches are reaped after
+/// pending_ttl_seconds; a fetched result is gone at once, and an
+/// unexpired one is still served.
+TEST(PendingTtl, SweepReapsOnlyUnfetchedExpiredResults) {
+  Registry registry;
+  server::registerStandardExecutables(registry);
+  NinfServer server(registry, {.workers = 1, .pending_ttl_seconds = 0.3});
+  auto [client_end, server_end] = transport::inprocPair();
+  NinfClient client(std::move(client_end));
+  server.adopt(std::move(server_end));
+
+  std::vector<double> sums(2), q(10);
+  std::vector<ArgValue> args = {ArgValue::inInt(0), ArgValue::inInt(64),
+                                ArgValue::outArray(sums),
+                                ArgValue::outArray(q)};
+  // Fetch until the result is ready (bounded), or nullopt.
+  auto fetchReady = [&](const client::JobHandle& handle) {
+    std::optional<client::CallResult> result;
+    for (int attempt = 0; attempt < 400 && !result; ++attempt) {
+      result = client.fetch(handle, args);
+      if (!result) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return result;
+  };
+  obs::Counter& expired = obs::counter("server.pending_expired");
+
+  // Fetched: served once, then gone.
+  const auto fetched = client.submit("ep", args);
+  ASSERT_TRUE(fetchReady(fetched).has_value());
+  EXPECT_THROW(client.fetch(fetched, args), RemoteError);
+
+  // Unfetched: reaped by the sweep once the TTL has passed.
+  const auto before = expired.value();
+  const auto abandoned = client.submit("ep", args);
+  const auto start = std::chrono::steady_clock::now();
+  while (expired.value() == before &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(expired.value() - before, 1u);
+  EXPECT_THROW(client.fetch(abandoned, args), RemoteError);
+
+  // Unexpired: still served after the sweep reaped the other one.
+  const auto fresh = client.submit("ep", args);
+  const auto result = fetchReady(fresh);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_DOUBLE_EQ(sums[0], numlib::runEp(0, 64).sx);
+
+  client.close();
+  server.stop();
 }
 
 TEST(TcpRpc, FullStackOverRealSockets) {

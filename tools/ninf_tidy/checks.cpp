@@ -30,18 +30,18 @@ const std::set<std::string>& blockingPrimitives() {
 /// bounded chunks — see NinfServer::sweepPending.  "faultplan" is held
 /// for a few RNG draws; the fault decorator sleeps only after it drops,
 /// and never on the non-blocking path the reactor drives.  The
-/// metaserver node's inline handlers take "directory.global" and
-/// "directory.server" (table lookups; status polls hold only
-/// "directory.poll", which stays off the reactor) and "repl.link" (the
-/// shipper holds it for queue operations, never across its I/O); its
-/// staged path takes "threadpool" (task queue push).
+/// metaserver node's handlers take "directory.global" and
+/// "directory.server" (table lookups and status records; the blocking
+/// polls of the in-process metaserver hold "directory.poll", which
+/// stays off the reactor) and "repl.link" (the shipper holds it for
+/// queue operations, never across its I/O).
 const std::set<std::string>& reactorSafeLockClasses() {
   static const std::set<std::string> s = {
       "server.reactor.solo", "pool.buffers",  "obs.registry",
       "obs.trace.buffer",    "obs.trace.registry",
       "server.metrics",      "jobqueue",      "registry",
       "log.sink",            "server.cache",  "server.pending",
-      "faultplan",           "threadpool",    "directory.global",
+      "faultplan",           "directory.global",
       "directory.server",    "repl.link",
   };
   return s;

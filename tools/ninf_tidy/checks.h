@@ -1,9 +1,9 @@
 // The four ninf-tidy checks.
 //
 //  reactor-blocking   functions reachable from NINF_REACTOR_CONTEXT
-//                     entry points (or lambdas passed to postSolo) must
-//                     not call NINF_BLOCKING APIs, blocking std
-//                     primitives, CondVar waits, future gets, or
+//                     entry points (or lambdas passed to postSolo or
+//                     postAt) must not call NINF_BLOCKING APIs, blocking
+//                     std primitives, CondVar waits, future gets, or
 //                     acquire a non-leaf lock class.
 //  codec-symmetry     every encode/decode (toBytes/fromBytes) pair in
 //                     src/protocol must put and get the same ordered

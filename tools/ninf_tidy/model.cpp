@@ -404,13 +404,14 @@ class Parser {
     return body_close + 1;
   }
 
-  /// Lambdas written directly inside a postSolo(...) argument list run
-  /// on the reactor thread: mark the outermost ones as reactor roots.
-  /// Lambdas nested inside those (work handed onward to workers) stay
-  /// unmarked.
+  /// Lambdas written directly inside a postSolo(...) or postAt(...)
+  /// (timer) argument list run on the reactor thread: mark the outermost
+  /// ones as reactor roots.  Lambdas nested inside those (work handed
+  /// onward to workers) stay unmarked.
   void markPostSoloLambdas() {
     for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (!(toks_[i].isIdent() && toks_[i].text == "postSolo" &&
+      if (!(toks_[i].isIdent() &&
+            (toks_[i].text == "postSolo" || toks_[i].text == "postAt") &&
             toks_[i + 1].is("("))) {
         continue;
       }

@@ -35,6 +35,7 @@ struct FunctionModel {
   bool is_lambda = false;
   bool reactor_context = false;  // NINF_REACTOR_CONTEXT on decl/def,
                                  // or a lambda passed to postSolo()
+                                 // or postAt()
   bool blocking = false;         // NINF_BLOCKING on decl/def
   bool has_body = false;
   std::size_t body_begin = 0;  // token index of the opening '{'

@@ -45,3 +45,10 @@ void worker() {
   // The lambda runs on the reactor thread: its body is reactor context.
   postSolo(1, [] { blockingSend(); });
 }
+
+void postAt(double deadline, void (*fn)());
+
+void armTimer() {
+  // A timer callback runs on the reactor thread too.
+  postAt(1.0, [] { blockingSend(); });
+}

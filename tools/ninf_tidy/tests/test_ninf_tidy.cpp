@@ -56,8 +56,9 @@ TEST(ReactorBlocking, FlagsBlockingReachableFromReactorContext) {
   const auto diags = run("reactor_blocking_pos.cpp", "reactor-blocking");
   EXPECT_GE(diags.size(), 4u);
   EXPECT_EQ(countMessages(diags, "non-leaf lock class 'fixture.pending'"), 1);
-  EXPECT_GE(countMessages(diags, "NINF_BLOCKING API 'blockingSend'"), 2)
-      << "both the annotated entry point and the postSolo lambda reach it";
+  EXPECT_GE(countMessages(diags, "NINF_BLOCKING API 'blockingSend'"), 3)
+      << "the annotated entry point, the postSolo lambda and the postAt "
+         "timer lambda all reach it";
   EXPECT_EQ(countMessages(diags, "waits on CondVar 'done_cv_'"), 1);
   for (const auto& d : diags) EXPECT_EQ(d.check, "reactor-blocking");
 }
